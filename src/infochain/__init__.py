@@ -65,11 +65,9 @@ from .agents import (
     zero_extremist_table,
 )
 from .binary_solver import (
-    EfficiencyVerdict,
     EquilibriumKind,
     EquilibriumReport,
     NoInfoCause,
-    classify_efficiency,
     compare_outcomes,
     expected_value,
     prefers,
@@ -79,7 +77,6 @@ from .general_solver import (
     GeneralEquilibriumReport,
     GeneralKind,
     NotCovered,
-    classify_general_efficiency,
     corresponding_binary_game,
     no_info_reduction,
     player1_prefers,

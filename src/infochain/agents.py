@@ -280,6 +280,14 @@ class HierarchySpec:
     def is_binary(self) -> bool:
         return isinstance(self.prior, BinaryPrior)
 
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Report names, senders first: each agent's own label, else
+        ``sender{i}`` (1-based) or ``receiver``."""
+        return tuple(
+            (s.label or f"sender{i}") for i, s in enumerate(self.senders, start=1)
+        ) + (self.receiver.label or RECEIVER,)
+
 
 def classify_spec(spec: AgentSpec, prior: Union[BinaryPrior, UniformPrior]) -> AgentClass:
     if isinstance(spec.utility, TableUtility):

@@ -22,13 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .core import (
-    BinaryOutcome,
-    BinaryPrior,
-    ChainError,
-    PriorMismatch,
-    make_outcome,
-)
+from .core import BinaryOutcome, PriorMismatch, make_outcome
 from .agents import (
     RECEIVER,
     AgentClass,
@@ -164,7 +158,9 @@ def _decide(
     classes: list[AgentClass], mu_r: Fraction, p: Fraction
 ) -> tuple[EquilibriumKind, Optional[Fraction], Optional[NoInfoCause], Union[int, str]]:
     """Canonical-frame equilibrium of a chain with the given sender classes:
-    (kind, low-cell threshold for partial splits, no-info cause, pivot seat)."""
+    (kind, low-cell threshold for partial splits, no-info cause, pivot seat).
+    The closed forms' one copy of the pivotal rule: the uniform solver reads
+    its induced subgames off it too."""
     a, b, c, d, e0, e1 = _binary_sets(classes, mu_r, p)
     if a:
         a_pos, a_thr = _argmin_threshold(a)
@@ -189,12 +185,6 @@ def _tie_action(canon: HierarchySpec, mu_r: Fraction) -> int:
     return 1 if g > 0 else 0
 
 
-def _labels(h: HierarchySpec) -> tuple[str, ...]:
-    return tuple(
-        (s.label or f"sender{i}") for i, s in enumerate(h.senders, start=1)
-    ) + (h.receiver.label or RECEIVER,)
-
-
 def solve_binary(h: HierarchySpec) -> EquilibriumReport:
     """Closed-form equilibrium of a binary-state chain.
 
@@ -203,7 +193,7 @@ def solve_binary(h: HierarchySpec) -> EquilibriumReport:
     """
     if not h.is_binary:
         raise ValidationError("solve_binary needs a binary-state hierarchy")
-    labels = _labels(h)
+    labels = h.labels
     r_cls = receiver_class(h)
     if r_cls.kind.is_extremist:
         outcome = make_outcome(0, 1, h.prior)
@@ -273,21 +263,3 @@ def solve_binary(h: HierarchySpec) -> EquilibriumReport:
         tie_action=tie,
     )
 
-
-@dataclass(frozen=True)
-class EfficiencyVerdict:
-    efficient: bool
-    witness: Optional[tuple[Fraction, Fraction]] = None
-
-
-def classify_efficiency(h: HierarchySpec, report: EquilibriumReport) -> EfficiencyVerdict:
-    """Whether any feasible outcome would make every player (receiver
-    included) weakly better off, some strictly.
-
-    Only the ordering collapse is dominated: all low cells in the canonical
-    interval [best blocker threshold, best conformist threshold] paired with
-    full revelation above beat no information for everyone.
-    """
-    if report.no_info_cause is NoInfoCause.ORDERING:
-        return EfficiencyVerdict(efficient=False, witness=report.witness)
-    return EfficiencyVerdict(efficient=True)

@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,9 +32,9 @@ from .core import (
     HALF,
     BinaryPrior,
     ChainError,
-    Experiment,
     UniformPrior,
     as_ratio,
+    experiment_of_outcome,
     identity_experiment,
 )
 from .agents import (
@@ -323,10 +324,11 @@ CommandResult = tuple[int, dict, dict[str, str]]
 
 def _cmd_classify(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
     agents = []
+    labels = h.labels
     for seat, (spec, cls) in enumerate(zip(h.senders, sender_classes(h)), start=1):
         agents.append({
             "seat": seat,
-            "label": spec.label or f"sender{seat}",
+            "label": labels[seat - 1],
             "model": agent_doc(spec)["model"],
             "kind": cls.kind.value,
             "threshold": str(cls.threshold) if cls.threshold is not None else None,
@@ -334,7 +336,7 @@ def _cmd_classify(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
     rc = receiver_class(h)
     agents.append({
         "seat": "receiver",
-        "label": h.receiver.label or "receiver",
+        "label": labels[-1],
         "model": agent_doc(h.receiver)["model"],
         "kind": rc.kind.value,
         "threshold": str(rc.threshold) if rc.threshold is not None else None,
@@ -423,25 +425,11 @@ def _cmd_vp(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
     return 0, report, {}
 
 
-def _split_experiment(support: tuple[Fraction, ...], p: Fraction) -> Experiment:
-    """First sender's move realizing a two-point (or silent) posterior support."""
-    if len(support) == 1:
-        return Experiment(((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0))))
-    q0, q1 = support
-    w1 = (p - q0) / (q1 - q0)
-    to_one_in_state1 = w1 * q1 / p
-    to_one_in_state0 = w1 * (1 - q1) / (1 - p)
-    return Experiment((
-        (1 - to_one_in_state0, to_one_in_state0),
-        (1 - to_one_in_state1, to_one_in_state1),
-    ))
-
-
 def _cmd_simulate(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
     r = _solve_for(h)
     passthrough = [identity_experiment(2) for _ in range(h.n - 1)]
     if h.is_binary:
-        profile = [_split_experiment(r.support, h.prior.p), *passthrough]
+        profile = [experiment_of_outcome(r.outcome), *passthrough]
     else:
         cut = r.cut if r.cut is not None else Fraction(0)
         profile = [IntervalCut(cut), *passthrough]
@@ -558,6 +546,24 @@ def _csv_view(report: dict) -> str:
     return out.getvalue()
 
 
+def _emit(text: str) -> None:
+    """Write to stdout.  A reader that stops early (``| head``) closes the
+    pipe, which ends the output but not the run."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point the descriptor
+        # at devnull so that flush has nowhere left to fail
+        try:
+            fd = sys.stdout.fileno()
+        except OSError:
+            return  # no descriptor behind stdout, so no exit-time flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
 def run(config: RunConfig) -> int:
     """Dispatch a command; returns the exit status (0 ok, 1 validation,
     2 solver/oracle mismatch, 3 internal assertion)."""
@@ -569,9 +575,9 @@ def run(config: RunConfig) -> int:
         rendered = json.dumps(report, indent=2)
         if config.fmt == "csv":
             # tabular commands print their natural table; the rest flatten
-            print(files.get(f"{config.command}.csv") or _csv_view(report), end="")
+            _emit(files.get(f"{config.command}.csv") or _csv_view(report))
         else:
-            print(rendered)
+            _emit(rendered + "\n")
         if config.out_dir is not None:
             config.out_dir.mkdir(parents=True, exist_ok=True)
             (config.out_dir / f"{config.command}.json").write_text(rendered + "\n")

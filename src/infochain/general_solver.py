@@ -36,7 +36,6 @@ from .core import (
     mpc_feasible_uniform,
 )
 from .agents import (
-    AgentClass,
     AgentSpec,
     BinaryPrior,
     HierarchySpec,
@@ -47,8 +46,6 @@ from .agents import (
     Relabeling,
     TableUtility,
     ValidationError,
-    _argmin_threshold,
-    _binary_sets,
     canonicalize_receiver,
     classify_linear,
     pivotal_general,
@@ -56,7 +53,7 @@ from .agents import (
     reclassify_under_support,
     sender_classes,
 )
-from .binary_solver import EquilibriumKind, solve_binary
+from .binary_solver import EquilibriumKind, _decide, solve_binary
 from .binary_solver import NoInfoCause as BinaryCause
 
 
@@ -172,28 +169,6 @@ def no_info_reduction(h: HierarchySpec) -> bool:
 # induced subgame: intermediaries facing a fixed pair of means
 # ---------------------------------------------------------------------------
 
-def _sub_decide(
-    classes: list[AgentClass], mu_r: Fraction, p: Fraction
-) -> Optional[tuple[Fraction, Fraction]]:
-    """Support delivered by intermediaries holding the given classes, in
-    subgame posterior coordinates; None when the pipe collapses."""
-    a, b, c, d, e0, e1 = _binary_sets(classes, mu_r, p)
-    if c or e1:
-        return None
-    if a:
-        a_pos, a_thr = _argmin_threshold(a)
-    else:
-        a_pos, a_thr = len(classes) + 1, mu_r
-    if any(thr > a_thr for _, thr in d):
-        return None
-    blockers = [pos for pos, _ in d] + e0
-    if not blockers:
-        return (Fraction(0), Fraction(1))
-    if a_pos > max(blockers):
-        return (a_thr, Fraction(1))
-    return None
-
-
 def solve_subgame_given_support(
     h: HierarchySpec, m0: NumberLike, m1: NumberLike
 ) -> Optional[BinaryOutcome]:
@@ -227,11 +202,12 @@ def solve_subgame_given_support(
         reclassify_under_support(classify_linear(s.utility), m0, m1)
         for s in h.senders[1:]
     ]
-    sub = _sub_decide(classes, sub_mu_r, sub_p) if classes else (Fraction(0), Fraction(1))
-    if sub is None:
+    kind, a_thr, _, _ = _decide(classes, sub_mu_r, sub_p)
+    if kind is EquilibriumKind.NO_INFO:
         return None
-    d0 = m0 + sub[0] * (m1 - m0)
-    d1 = m0 + sub[1] * (m1 - m0)
+    lo = a_thr if kind is EquilibriumKind.PARTIAL else Fraction(0)
+    d0 = m0 + lo * (m1 - m0)
+    d1 = m1
     if not d0 < HALF < d1:
         return None  # all weight on one cell: no information after all
     return make_outcome(d0, d1, HALF)
@@ -298,9 +274,6 @@ def _report(
     pivotal: Optional[PivotalReport],
     rel: Relabeling,
 ) -> GeneralEquilibriumReport:
-    labels = tuple(
-        (s.label or f"sender{i}") for i, s in enumerate(h.senders, start=1)
-    ) + (h.receiver.label or "receiver",)
     # values in the original frame: each agent's premium accrues on the cells
     # where the original receiver strictly prefers action 1 (delivered means
     # never sit on her indifference point)
@@ -322,7 +295,7 @@ def _report(
         condition_trace=trace,
         pivotal=pivotal,
         efficient=trace not in INEFFICIENT_TRACES,
-        labels=labels,
+        labels=h.labels,
         values=values,
         relabeling=rel,
     )
@@ -411,9 +384,3 @@ def solve_general_uniform(h: HierarchySpec) -> GeneralEquilibriumReport:
     support = rel.support_back((m0, m0 + HALF))
     return _report(h, GeneralKind.SUPPORTED, support, trace, pivotal, rel)
 
-
-def classify_general_efficiency(report: GeneralEquilibriumReport) -> bool:
-    """Pareto verdict: only the ordering collapse ("1c") and the
-    distant-0-biased collapse ("2") are dominated — some feasible split would
-    please every player including the receiver."""
-    return report.condition_trace not in INEFFICIENT_TRACES

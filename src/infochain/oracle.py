@@ -16,10 +16,8 @@ Values are exact rationals end to end; only Monte Carlo uses floats.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -48,8 +46,6 @@ from .agents import (
     classify_linear,
     reclassify_under_support,
 )
-
-log = logging.getLogger(__name__)
 
 
 class ResolutionTooCoarse(ChainError):
@@ -87,24 +83,18 @@ def grid_pairs(p: Fraction, resolution: int) -> list[tuple[Fraction, Fraction]]:
 class OutcomeGrid:
     """Discretized Bayes-plausible outcome set.
 
-    ``points`` is the raw enumeration (pairs touching the prior canonicalize
-    to the degenerate outcome but keep their slot); ``outcomes`` is the
-    deduplicated canonical set the chain computations run on.
+    ``cell_table[i][j]`` is the canonical outcome of the pair (q0s[i], q1s[j])
+    (pairs touching the prior canonicalize to the degenerate outcome but keep
+    their cell); ``outcomes`` is the deduplicated set the chain computations
+    run on, sorted by (q0, q1).
     """
 
     resolution: int
     prior: BinaryPrior
     q0s: tuple[Fraction, ...]
     q1s: tuple[Fraction, ...]
-    points: tuple[BinaryOutcome, ...]
+    cell_table: tuple[tuple[BinaryOutcome, ...], ...]
     outcomes: tuple[BinaryOutcome, ...]
-
-    @cached_property
-    def cell_table(self) -> tuple[tuple[BinaryOutcome, ...], ...]:
-        return tuple(
-            tuple(make_outcome(a, b, self.prior) for b in self.q1s)
-            for a in self.q0s
-        )
 
     def outcome_at(self, i: int, j: int) -> BinaryOutcome:
         return self.cell_table[i][j]
@@ -116,14 +106,14 @@ def build_grid(prior: BinaryPrior, resolution: int) -> OutcomeGrid:
     pairs = grid_pairs(prior.p, resolution)
     q0s = tuple(sorted({a for a, _ in pairs}))
     q1s = tuple(sorted({b for _, b in pairs}))
-    points = tuple(make_outcome(a, b, prior) for a, b in pairs)
-    unique = sorted(set(points), key=lambda o: (o.q0, o.q1))
+    cell_table = tuple(tuple(make_outcome(a, b, prior) for b in q1s) for a in q0s)
+    unique = sorted({o for row in cell_table for o in row}, key=lambda o: (o.q0, o.q1))
     return OutcomeGrid(
         resolution=resolution,
         prior=prior,
         q0s=q0s,
         q1s=q1s,
-        points=points,
+        cell_table=cell_table,
         outcomes=tuple(unique),
     )
 
@@ -351,10 +341,6 @@ def blackwell_maximal(outcomes: Sequence[BinaryOutcome]) -> list[BinaryOutcome]:
 # pass-through (simple-equilibrium) verification
 # ---------------------------------------------------------------------------
 
-def _maximal_set(items: list[BinaryOutcome]) -> list[BinaryOutcome]:
-    return blackwell_maximal(items)
-
-
 def _delivered_after(
     h: HierarchySpec,
     grid: OutcomeGrid,
@@ -378,7 +364,7 @@ def _delivered_after(
             vals = [(value(d), d) for d in delivered[o]]
             vmax = max(v for v, _ in vals)
             cand_val[o] = vmax
-            cand_set[o] = _maximal_set([d for v, d in vals if v == vmax])
+            cand_set[o] = blackwell_maximal([d for v, d in vals if v == vmax])
 
         best_val: list[list[Optional[Fraction]]] = [[None] * nj for _ in range(ni)]
         best_set: list[list[list[BinaryOutcome]]] = [[[] for _ in range(nj)] for _ in range(ni)]
@@ -396,7 +382,7 @@ def _delivered_after(
                         elif pv == val:
                             out_set.extend(best_set[pi][pj])
                 best_val[i][j] = val
-                best_set[i][j] = _maximal_set(out_set)
+                best_set[i][j] = blackwell_maximal(out_set)
         new_delivered = {}
         for i in range(ni):
             for j in range(nj):
@@ -677,7 +663,7 @@ class IntervalCut:
 class McReport:
     trials: int
     seed: int
-    labels: tuple[str, ...]           # senders 1..n then "receiver"
+    labels: tuple[str, ...]           # HierarchySpec.labels: senders, then receiver
     means: tuple[float, ...]
     stderrs: tuple[float, ...]
 
@@ -771,12 +757,9 @@ def monte_carlo(
             premium = float(u.alpha) * states + float(u.beta)
             rows.append(premium * actions)
 
-    labels = tuple(
-        (s.label or f"sender{i}") for i, s in enumerate(h.senders, start=1)
-    ) + ("receiver",)
     means, errs = [], []
     for sample in rows:
         means.append(float(np.mean(sample)))
         errs.append(float(np.std(sample, ddof=1) / np.sqrt(trials)))
-    return McReport(trials=trials, seed=seed, labels=labels,
+    return McReport(trials=trials, seed=seed, labels=h.labels,
                     means=tuple(means), stderrs=tuple(errs))

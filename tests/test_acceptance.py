@@ -20,6 +20,7 @@ from infochain import (
     UniformPrior,
     conformist_table,
     contrarian_table,
+    experiment_of_outcome,
     hierarchy,
     linear_utility,
     make_outcome,
@@ -40,7 +41,6 @@ from infochain.general_solver import (
     player1_value,
     solve_general_uniform,
 )
-from infochain.cli import _split_experiment
 from infochain.oracle import (
     IntervalCut,
     build_grid,
@@ -253,7 +253,7 @@ def test_criterion_4_value_curve_against_quadrature(announce):
 
 def _profile_for(h, report):
     if h.is_binary:
-        first = _split_experiment(report.support, h.prior.p)
+        first = experiment_of_outcome(report.outcome)
     else:
         first = IntervalCut(report.cut if report.cut is not None else F(0))
     return [first] + [identity_experiment(2)] * (h.n - 1)

@@ -12,7 +12,6 @@ from infochain import (
     NoInfoCause,
     PriorMismatch,
     Relabeling,
-    classify_efficiency,
     compare_outcomes,
     conformist_table,
     contrarian_table,
@@ -184,9 +183,8 @@ class TestEfficiency:
         h = chain([conformist_table(F(1, 4)), contrarian_table(F(1, 10)),
                    conformist_table(F(3, 10))])
         r = solve_binary(h)
-        v = classify_efficiency(h, r)
-        assert not v.efficient
-        assert v.witness == (F(1, 10), F(1, 4))
+        assert not r.efficient
+        assert r.witness == (F(1, 10), F(1, 4))
 
     def test_witness_outcomes_beat_silence_for_everyone(self):
         h = chain([conformist_table(F(1, 4)), contrarian_table(F(1, 10)),
@@ -211,15 +209,15 @@ class TestEfficiency:
 
     def test_full_info_efficient(self):
         h = chain([conformist_table(F(1, 4))])
-        v = classify_efficiency(h, solve_binary(h))
-        assert v.efficient and v.witness is None
+        r = solve_binary(h)
+        assert r.efficient and r.witness is None
 
     def test_opposed_no_info_efficient(self):
         h = chain([conformist_table(F(1, 4)), one_extremist_table()])
         r = solve_binary(h)
         assert r.kind is EquilibriumKind.NO_INFO
         assert r.no_info_cause is NoInfoCause.OPPOSED
-        assert classify_efficiency(h, r).efficient
+        assert r.efficient and r.witness is None
 
     def test_more_biased_pivot_means_more_information(self):
         # sliding the pivotal conformist's threshold down benefits the receiver

@@ -1,7 +1,12 @@
 """Command surface: config ingestion, dispatch, exit codes, and artifacts."""
 from __future__ import annotations
 
+import errno
+import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -25,7 +30,8 @@ from infochain.cli import (
 )
 from infochain.oracle import ResolutionTooCoarse, SeedRequired
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 ORDERING = CONFIGS / "binary_ordering.json"
 PARTIAL = CONFIGS / "binary_partial.json"
 INTERIOR = CONFIGS / "uniform_interior.json"
@@ -304,3 +310,63 @@ class TestExitCodes:
         monkeypatch.setitem(cli._COMMANDS, "solve", boom)
         assert main(["solve", "--config", str(ORDERING)]) == 3
         assert "internal error" in capsys.readouterr().err
+
+
+class ClosedPipe(io.StringIO):
+    """stdout whose reader has gone away, as under ``| head``."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def run_python(*args, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter on `args`, with this tree's sources first on the
+    path."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          timeout=120, **kwargs)
+
+
+class TestProcess:
+    def test_broken_pipe_keeps_the_command_status(self, capsys, monkeypatch, tmp_path):
+        from infochain import cli
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["solve", "--config", str(PARTIAL), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "solve.json").exists()
+        monkeypatch.setitem(cli._COMMANDS, "solve", lambda h, cfg: (2, {}, {}))
+        assert main(["solve", "--config", str(PARTIAL), "--format", "csv"]) == 2
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_is_a_quiet_exit(self):
+        # the reader closes before the first write, so every write fails,
+        # including the interpreter's own flush of stdout at exit
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_python("-m", "infochain.cli", "curve", "--config", str(INTERIOR),
+                              stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--config", str(INTERIOR)],
+        ["simulate", "--config", str(PARTIAL), "--seed", "1", "--trials", "100"],
+    ])
+    def test_commands_run_without_scipy(self, args):
+        # scipy is a test-only dependency: ``python -m infochain.cli`` must
+        # never load it
+        probe = (
+            "import runpy, sys\n"
+            f"sys.argv = ['infochain', *{args!r}]\n"
+            "try:\n"
+            "    runpy.run_module('infochain.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as e:\n"
+            "    assert e.code == 0, e.code\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'), "
+            "file=sys.stderr)\n"
+        )
+        proc = run_python("-c", probe, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "[]"

@@ -5,6 +5,7 @@ non-credible garbles, collapse of receiver-constant outcomes)."""
 from __future__ import annotations
 
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,7 @@ from infochain import (
     conformist_table,
     contrarian_table,
     experiment,
+    experiment_of_outcome,
     grid_pairs,
     hierarchy,
     ic_chain,
@@ -26,13 +28,17 @@ from infochain import (
     linear_utility,
     make_outcome,
     monte_carlo,
+    solve_binary,
     solve_general_grid,
+    solve_general_uniform,
     solve_spe_grid,
     verify_simple_equilibrium,
     zero_extremist_table,
 )
+from infochain.cli import ingest
 
 P = BinaryPrior(F(3, 5))
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def support_set(outcomes):
@@ -265,3 +271,16 @@ class TestMonteCarlo:
         # expected premium = P(high) * (E[w | high] - 0.3) = 0.68 * 0.36
         mean, se = rep.row("receiver")
         assert abs(mean - 0.68 * 0.36) <= 3 * se
+
+    @pytest.mark.parametrize("name", ["binary_partial", "uniform_interior"])
+    def test_labels_match_the_solver_report(self, name):
+        h = ingest(CONFIGS / f"{name}.json")
+        if h.is_binary:
+            report = solve_binary(h)
+            first = experiment_of_outcome(report.outcome)
+        else:
+            report = solve_general_uniform(h)
+            first = IntervalCut(report.cut)
+        rep = monte_carlo(h, [first] + [identity_experiment()] * (h.n - 1), 100, seed=1)
+        assert rep.labels == report.labels
+        assert rep.labels[-1] == h.receiver.label
