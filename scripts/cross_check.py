@@ -77,13 +77,11 @@ def random_uniform_game(rng: random.Random) -> HierarchySpec:
 
 def check_binary(games: int, seed: int, resolution: int) -> int:
     rng = random.Random(seed)
-    grids: dict[F, object] = {}
     failures = 0
     for i in range(games):
         h = random_binary_game(rng)
         report = solve_binary(h)
-        grid = grids.setdefault(h.prior.p, build_grid(h.prior, resolution))
-        supports = [o.support() for o in solve_spe_grid(h, grid)]
+        supports = [o.support() for o in solve_spe_grid(h, build_grid(h.prior, resolution))]
         if report.support not in supports:
             failures += 1
             print(f"[binary {i}] closed support {report.support} not among "

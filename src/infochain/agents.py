@@ -308,7 +308,8 @@ def hierarchy(
 ) -> HierarchySpec:
     """Validated constructor.  Wraps bare utilities into AgentSpecs, classifies
     everyone (surfacing DegenerateAgent / ThresholdCollision), and in strict
-    mode enforces pairwise-distinct thresholds across senders and receiver.
+    mode enforces pairwise-distinct thresholds and report labels (own or
+    fallback, see `HierarchySpec.labels`) across senders and receiver.
     Relaxed mode (strict=False) is for machine-built chains such as appended
     advisors, where a duplicate threshold is resolved by position.
     """
@@ -338,6 +339,14 @@ def hierarchy(
                     f"agents {seen[cls.threshold]} and {idx} share {cls.threshold}"
                 )
             seen[cls.threshold] = idx
+        named: dict[str, int] = {}
+        for idx, label in enumerate(h.labels):
+            if label in named:
+                raise ValidationError(
+                    "labels must be pairwise distinct: "
+                    f"agents {named[label]} and {idx} share {label!r}"
+                )
+            named[label] = idx
     return h
 
 

@@ -98,6 +98,10 @@ COMMANDS = ("classify", "solve", "oracle", "compare", "vp", "simulate", "curve")
 #: commands whose work happens on a discretized outcome grid
 _GRID_COMMANDS = ("oracle", "compare")
 
+#: finest --grid those commands accept: the binary oracle's time and memory
+#: grow with the G^2 cells of its belief grid
+MAX_GRID = 1000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -120,6 +124,10 @@ class RunConfig:
         if self.command in _GRID_COMMANDS and self.grid < 10:
             raise ResolutionTooCoarse(
                 f"{self.command} needs a grid of at least 10 steps, got {self.grid}"
+            )
+        if self.command in _GRID_COMMANDS and self.grid > MAX_GRID:
+            raise ValidationError(
+                f"{self.command} takes a grid of at most {MAX_GRID} steps, got {self.grid}"
             )
         if self.command == "simulate":
             if self.seed is None:

@@ -4,9 +4,10 @@ Everything here works from raw utilities and exhaustive enumeration — no
 pivotal-agent shortcuts — so closed-form solvers can be checked against an
 independent route:
 
-* a discretized outcome grid and the chain of incentive-compatibility level
-  sets (which outcomes each intermediary would pass along, given what later
-  intermediaries will pass),
+* a discretized outcome grid, held as its two coordinate axes, and the chain
+  of incentive-compatibility level sets (which outcomes each intermediary
+  would pass along, given what later intermediaries will pass), computed on
+  cell indices (i, j) into those axes with one value table per seat,
 * grid subgame-perfect equilibrium for the binary game,
 * exhaustive mean-pair search for the uniform-state game,
 * a pass-through (simple-equilibrium) deviation scan, and
@@ -16,6 +17,7 @@ Values are exact rationals end to end; only Monte Carlo uses floats.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -65,10 +67,9 @@ class EmptyLevelSet(ChainError):
 # outcome grid
 # ---------------------------------------------------------------------------
 
-def grid_pairs(p: Fraction, resolution: int) -> list[tuple[Fraction, Fraction]]:
-    """All coordinate pairs (q0, q1) with q0 <= p <= q1 on the 1/G lattice,
-    with p itself inserted as a coordinate when it is off-lattice."""
-    p = as_ratio(p)
+def _axes(p: Fraction, resolution: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Lattice points at or below p and at or above p, each ascending, with p
+    itself closing the first and opening the second when it is off-lattice."""
     step = Fraction(1, resolution)
     q0s = [k * step for k in range(resolution + 1) if k * step <= p]
     if q0s[-1] != p:
@@ -76,46 +77,65 @@ def grid_pairs(p: Fraction, resolution: int) -> list[tuple[Fraction, Fraction]]:
     q1s = [k * step for k in range(resolution + 1) if k * step >= p]
     if q1s[0] != p:
         q1s.insert(0, p)
+    return tuple(q0s), tuple(q1s)
+
+
+def grid_pairs(p: Fraction, resolution: int) -> list[tuple[Fraction, Fraction]]:
+    """All coordinate pairs (q0, q1) with q0 <= p <= q1 on the 1/G lattice,
+    with p itself inserted as a coordinate when it is off-lattice."""
+    q0s, q1s = _axes(as_ratio(p), resolution)
     return [(a, b) for a in q0s for b in q1s]
+
+
+Cell = tuple[int, int]
 
 
 @dataclass(eq=False)
 class OutcomeGrid:
-    """Discretized Bayes-plausible outcome set.
+    """Discretized Bayes-plausible outcome set, held as its two axes.
 
-    ``cell_table[i][j]`` is the canonical outcome of the pair (q0s[i], q1s[j])
-    (pairs touching the prior canonicalize to the degenerate outcome but keep
-    their cell); ``outcomes`` is the deduplicated set the chain computations
-    run on, sorted by (q0, q1).
+    Cell (i, j) is the pair (q0s[i], q1s[j]).  The prior closes ``q0s`` and
+    opens ``q1s``, so every cell in the last row or the first column is the
+    silent (degenerate) outcome; its cell is the corner (len(q0s)-1, 0).
+    ``cells()`` lists one cell per distinct outcome in (q0, q1) order: the
+    informative cells row-major, then the silent corner.
     """
 
     resolution: int
     prior: BinaryPrior
     q0s: tuple[Fraction, ...]
     q1s: tuple[Fraction, ...]
-    cell_table: tuple[tuple[BinaryOutcome, ...], ...]
-    outcomes: tuple[BinaryOutcome, ...]
 
-    def outcome_at(self, i: int, j: int) -> BinaryOutcome:
-        return self.cell_table[i][j]
+    def cells(self) -> list[Cell]:
+        ni, nj = len(self.q0s), len(self.q1s)
+        return [(i, j) for i in range(ni - 1) for j in range(1, nj)] + [(ni - 1, 0)]
+
+    @property
+    def outcomes(self) -> tuple[BinaryOutcome, ...]:
+        """The outcome of each of ``cells()``, built on every call."""
+        return tuple(
+            make_outcome(self.q0s[i], self.q1s[j], self.prior) for i, j in self.cells()
+        )
+
+    def cell_of(self, outcome: BinaryOutcome) -> Optional[Cell]:
+        """The cell of an outcome over this grid's prior, None when off-grid."""
+        if outcome.p != self.prior.p:
+            return None
+        ni, nj = len(self.q0s), len(self.q1s)
+        if outcome.degenerate:
+            return (ni - 1, 0)
+        i = bisect_left(self.q0s, outcome.q0, 0, ni - 1)
+        j = bisect_left(self.q1s, outcome.q1, 1, nj)
+        if i < ni - 1 and j < nj and (self.q0s[i], self.q1s[j]) == (outcome.q0, outcome.q1):
+            return (i, j)
+        return None
 
 
 def build_grid(prior: BinaryPrior, resolution: int) -> OutcomeGrid:
     if resolution < 10:
         raise ResolutionTooCoarse(f"need at least 10 grid steps, got {resolution}")
-    pairs = grid_pairs(prior.p, resolution)
-    q0s = tuple(sorted({a for a, _ in pairs}))
-    q1s = tuple(sorted({b for _, b in pairs}))
-    cell_table = tuple(tuple(make_outcome(a, b, prior) for b in q1s) for a in q0s)
-    unique = sorted({o for row in cell_table for o in row}, key=lambda o: (o.q0, o.q1))
-    return OutcomeGrid(
-        resolution=resolution,
-        prior=prior,
-        q0s=q0s,
-        q1s=q1s,
-        cell_table=cell_table,
-        outcomes=tuple(unique),
-    )
+    q0s, q1s = _axes(prior.p, resolution)
+    return OutcomeGrid(resolution=resolution, prior=prior, q0s=q0s, q1s=q1s)
 
 
 # ---------------------------------------------------------------------------
@@ -170,23 +190,27 @@ def outcome_value(u: TableUtility, out: BinaryOutcome, act: Callable[[Fraction],
     return total
 
 
-def _value_fn(
+def _value_table(
     u: TableUtility, act: Callable[[Fraction], int], grid: OutcomeGrid
-) -> Callable[[BinaryOutcome], Fraction]:
-    """Same expected value as `outcome_value`, with the per-posterior payoff
-    memoized across the grid (the inner term only depends on the posterior,
-    and a grid has ~2R distinct posteriors against R^2/4 cells)."""
-    point: dict[Fraction, Fraction] = {}
-    for q in {*grid.q0s, *grid.q1s, grid.prior.p}:
+) -> list[list[Fraction]]:
+    """`outcome_value` of every cell, with each posterior's payoff computed
+    once (a grid has ~2R posteriors against R^2/4 cells)."""
+    p = grid.prior.p
+
+    def payoff(q: Fraction) -> Fraction:
         a = act(q)
-        point[q] = q * u.value(1, a) + (1 - q) * u.value(0, a)
+        return q * u.value(1, a) + (1 - q) * u.value(0, a)
 
-    def value(out: BinaryOutcome) -> Fraction:
-        if out.degenerate:
-            return point[out.p]
-        return out.w0 * point[out.q0] + out.w1 * point[out.q1]
-
-    return value
+    silent = payoff(p)
+    highs = [(q1 - p, payoff(q1)) for q1 in grid.q1s[1:]]
+    table = []
+    for q0 in grid.q0s[:-1]:
+        below, low = p - q0, payoff(q0)
+        table.append(
+            [silent] + [(above * low + below * high) / (above + below) for above, high in highs]
+        )
+    table.append([silent] * len(grid.q1s))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -208,80 +232,53 @@ class IcChain:
     grid: OutcomeGrid
     levels: dict[int, tuple[BinaryOutcome, ...]]
     garble_proof: tuple[BinaryOutcome, ...]
-    values: dict[int, dict[BinaryOutcome, Fraction]]
 
 
-def _prefix_max(
-    grid: OutcomeGrid,
-    candidate: Callable[[int, int], Optional[Fraction]],
-) -> list[list[Optional[Fraction]]]:
-    """M[i][j] = best candidate value over the contraction cone of cell (i,j):
-    cells with weakly higher q0 index and weakly lower q1 index."""
-    ni, nj = len(grid.q0s), len(grid.q1s)
-    m: list[list[Optional[Fraction]]] = [[None] * nj for _ in range(ni)]
-    for i in range(ni - 1, -1, -1):
-        for j in range(nj):
-            best = candidate(i, j)
-            if i + 1 < ni:
-                down = m[i + 1][j]
-                if down is not None and (best is None or down > best):
-                    best = down
-            if j - 1 >= 0:
-                left = m[i][j - 1]
-                if left is not None and (best is None or left > best):
-                    best = left
-            m[i][j] = best
+def _cone_max(table: list[list[Optional[Fraction]]]) -> list[list[Optional[Fraction]]]:
+    """M[i][j] = largest non-None entry over the contraction cone of cell
+    (i, j): cells with weakly higher q0 index and weakly lower q1 index."""
+    below: list[Optional[Fraction]] = [None] * len(table[0])
+    m: list = [None] * len(table)
+    for i in range(len(table) - 1, -1, -1):
+        best: Optional[Fraction] = None
+        row = []
+        for v, down in zip(table[i], below):
+            for c in (v, down):
+                if c is not None and (best is None or c > best):
+                    best = c
+            row.append(best)
+        m[i] = below = row
     return m
 
 
 def ic_chain(h: HierarchySpec, grid: OutcomeGrid) -> IcChain:
     """Build the level-set chain for a binary-state hierarchy on the grid."""
     act = action_rule(h)
-    n = h.n
+    cells = grid.cells()
     outcomes = grid.outcomes
-    cell_value: dict[int, dict[BinaryOutcome, Fraction]] = {}
-    for idx in range(1, n + 1):
-        value = _value_fn(h.senders[idx - 1].utility, act, grid)
-        cell_value[idx] = {o: value(o) for o in outcomes}
-
-    ni, nj = len(grid.q0s), len(grid.q1s)
-    at = grid.outcome_at
-
+    member = [[True] * len(grid.q1s) for _ in grid.q0s]
+    proof = [[True] * len(grid.q1s) for _ in grid.q0s]
     levels: dict[int, tuple[BinaryOutcome, ...]] = {}
-    ceilings: dict[int, dict[BinaryOutcome, Fraction]] = {}
-    member: dict[BinaryOutcome, bool] = {o: True for o in outcomes}
-
-    for idx in range(n, 1, -1):
-        vals = cell_value[idx]
-        table = [
-            [vals[o] if member[o] else None for o in row] for row in grid.cell_table
+    for idx in range(h.n, 1, -1):
+        table = _value_table(h.senders[idx - 1].utility, act, grid)
+        ceiling = _cone_max(
+            [[v if m else None for v, m in zip(*rows)] for rows in zip(table, member)]
+        )
+        member = [
+            [m and v == c for v, m, c in zip(*rows)] for rows in zip(table, member, ceiling)
         ]
-        m = _prefix_max(grid, lambda i, j: table[i][j])
-        ceiling = {at(i, j): m[i][j] for i in range(ni) for j in range(nj)}
-        new_member = {
-            o: member[o] and vals[o] == ceiling[o] for o in outcomes
-        }
-        level = tuple(o for o in outcomes if new_member[o])
+        # garble-proof set: no intermediary strictly prefers any contraction,
+        # credible or not, over the outcome itself
+        proof = [
+            [ok and v == c for v, ok, c in zip(*rows)]
+            for rows in zip(table, proof, _cone_max(table))
+        ]
+        level = tuple(o for o, (i, j) in zip(outcomes, cells) if member[i][j])
         if not level:
             raise EmptyLevelSet(f"level {idx} is empty")
         levels[idx] = level
-        ceilings[idx] = ceiling
-        member = new_member
-
-    # garble-proof set: no intermediary strictly prefers any contraction,
-    # credible or not, over the outcome itself
-    proof_member = {o: True for o in outcomes}
-    for idx in range(2, n + 1):
-        vals = cell_value[idx]
-        table = [[vals[o] for o in row] for row in grid.cell_table]
-        m = _prefix_max(grid, lambda i, j: table[i][j])
-        for i in range(ni):
-            for j in range(nj):
-                if table[i][j] != m[i][j]:
-                    proof_member[at(i, j)] = False
-    garble_proof = tuple(o for o in outcomes if proof_member[o])
-
-    return IcChain(grid=grid, levels=levels, garble_proof=garble_proof, values=ceilings)
+    garble_proof = tuple(o for o, (i, j) in zip(outcomes, cells) if proof[i][j])
+    return IcChain(grid=grid, levels=levels, garble_proof=garble_proof)
 
 
 def solve_spe_grid(
@@ -294,7 +291,7 @@ def solve_spe_grid(
     elements of the argmax (less informative payoff-ties are discarded)."""
     if chain is None:
         chain = ic_chain(h, grid)
-    candidates = chain.levels.get(2, grid.outcomes)
+    candidates = chain.levels[2] if 2 in chain.levels else grid.outcomes
     if not candidates:
         raise EmptyLevelSet("no passable outcome for player 1")
     act = action_rule(h)
@@ -321,20 +318,23 @@ def solve_spe_grid(
     return blackwell_maximal([canonical(o) for o in arg])
 
 
+def _staircase(items, interval=lambda item: item) -> list:
+    """The items whose (lo, hi) interval lies inside no other item's, one per
+    interval, in increasing order.  Sorted by (lo, -hi), an item survives when
+    its hi beats every hi before it."""
+    keep, top = [], None
+    for item in sorted(items, key=lambda item: (interval(item)[0], -interval(item)[1])):
+        hi = interval(item)[1]
+        if top is None or hi > top:
+            keep.append(item)
+            top = hi
+    return keep
+
+
 def blackwell_maximal(outcomes: Sequence[BinaryOutcome]) -> list[BinaryOutcome]:
-    """Drop every outcome that is a contraction of another in the list."""
-    keep = []
-    for o in outcomes:
-        dominated = any(
-            other is not o
-            and other != o
-            and other.q0 <= o.q0
-            and o.q1 <= other.q1
-            for other in outcomes
-        )
-        if not dominated:
-            keep.append(o)
-    return sorted(set(keep), key=lambda o: (o.q0, o.q1))
+    """Drop every outcome that is a contraction of another in the list (all
+    over one prior), and duplicates; the rest sorted by (q0, q1)."""
+    return _staircase(outcomes, lambda o: (o.q0, o.q1))
 
 
 # ---------------------------------------------------------------------------
@@ -344,50 +344,37 @@ def blackwell_maximal(outcomes: Sequence[BinaryOutcome]) -> list[BinaryOutcome]:
 def _delivered_after(
     h: HierarchySpec,
     grid: OutcomeGrid,
-    first_scanned: int,
-) -> dict[BinaryOutcome, list[BinaryOutcome]]:
-    """For each grid outcome, the set of outcomes actually reaching the
-    receiver when senders first_scanned..n best-respond to it (ties kept,
+    first_seat: int,
+) -> list[list[list[Cell]]]:
+    """For each grid cell, the cells of the outcomes actually reaching the
+    receiver when senders first_seat..n best-respond to it (ties kept,
     filtered to Blackwell-maximal; payoff evaluation of a tied set is
-    optimistic)."""
+    optimistic).  The silent corner stands for every silent cell; the other
+    cells are ordered by their intervals, so the filter runs on indices."""
     act = action_rule(h)
     ni, nj = len(grid.q0s), len(grid.q1s)
-    at = grid.outcome_at
-    delivered: dict[BinaryOutcome, list[BinaryOutcome]] = {
-        o: [o] for o in grid.outcomes
-    }
-    for idx in range(h.n, first_scanned - 1, -1):
-        value = _value_fn(h.senders[idx - 1].utility, act, grid)
-        cand_val: dict[BinaryOutcome, Fraction] = {}
-        cand_set: dict[BinaryOutcome, list[BinaryOutcome]] = {}
-        for o in grid.outcomes:
-            vals = [(value(d), d) for d in delivered[o]]
-            vmax = max(v for v, _ in vals)
-            cand_val[o] = vmax
-            cand_set[o] = blackwell_maximal([d for v, d in vals if v == vmax])
-
-        best_val: list[list[Optional[Fraction]]] = [[None] * nj for _ in range(ni)]
-        best_set: list[list[list[BinaryOutcome]]] = [[[] for _ in range(nj)] for _ in range(ni)]
+    delivered = [
+        [[(i, j) if i < ni - 1 and j > 0 else (ni - 1, 0)] for j in range(nj)]
+        for i in range(ni)
+    ]
+    for idx in range(h.n, first_seat - 1, -1):
+        value = _value_table(h.senders[idx - 1].utility, act, grid)
+        best_val: list[list[Fraction]] = [[] for _ in range(ni)]
+        best_set: list[list[list[Cell]]] = [[] for _ in range(ni)]
         for i in range(ni - 1, -1, -1):
             for j in range(nj):
-                o = at(i, j)
-                val, out_set = cand_val[o], list(cand_set[o])
+                val = max(value[a][b] for a, b in delivered[i][j])
+                out = [(a, b) for a, b in delivered[i][j] if value[a][b] == val]
                 for pi, pj in ((i + 1, j), (i, j - 1)):
-                    if 0 <= pi < ni and 0 <= pj < nj:
+                    if pi < ni and pj >= 0:
                         pv = best_val[pi][pj]
-                        if pv is None:
-                            continue
                         if pv > val:
-                            val, out_set = pv, list(best_set[pi][pj])
+                            val, out = pv, list(best_set[pi][pj])
                         elif pv == val:
-                            out_set.extend(best_set[pi][pj])
-                best_val[i][j] = val
-                best_set[i][j] = blackwell_maximal(out_set)
-        new_delivered = {}
-        for i in range(ni):
-            for j in range(nj):
-                new_delivered[at(i, j)] = best_set[i][j]
-        delivered = new_delivered
+                            out.extend(best_set[pi][pj])
+                best_val[i].append(val)
+                best_set[i].append(_staircase(out))
+        delivered = best_set
     return delivered
 
 
@@ -395,7 +382,6 @@ def _verify_binary_pass_through(
     h: HierarchySpec,
     outcome: BinaryOutcome,
     grid: OutcomeGrid,
-    first_scanned: int = 2,
 ) -> bool:
     p = grid.prior.p
     if outcome.p != p:
@@ -408,14 +394,15 @@ def _verify_binary_pass_through(
         composed = compose(composed, identity_experiment(2))
     if outcome_of_experiment(grid.prior, composed) != outcome:
         return False
-    # (ii) no scanned sender strictly gains by garbling, given that successors
+    # (ii) no intermediary strictly gains by garbling, given that successors
     # best-respond on the grid
-    if outcome not in set(grid.outcomes):
+    cell = grid.cell_of(outcome)
+    if cell is None:
         return False
-    if h.n < first_scanned:
+    if h.n < 2:
         return True
-    delivered = _delivered_after(h, grid, first_scanned)
-    return outcome in delivered[outcome]
+    i, j = cell
+    return cell in _delivered_after(h, grid, 2)[i][j]
 
 
 def _uniform_subgame_tables(h: HierarchySpec, m0: Fraction, m1: Fraction) -> HierarchySpec:
@@ -478,13 +465,12 @@ def verify_simple_equilibrium(
     sub = _uniform_subgame_tables(h, m0, m1)
     resolution = grid if isinstance(grid, int) else (grid.resolution if grid else 100)
     sub_grid = build_grid(sub.prior, resolution)
-    sub_outcome = make_outcome(0, 1, sub.prior)
+    i, j = cell = sub_grid.cell_of(make_outcome(0, 1, sub.prior))
     # scan every intermediary of the original chain (all senders of the
     # stand-in), and skip the realizability composition which the cut handles
     if sub.n == 0:
         return True
-    delivered = _delivered_after(sub, sub_grid, 1)
-    return sub_outcome in delivered[sub_outcome]
+    return cell in _delivered_after(sub, sub_grid, 1)[i][j]
 
 
 # ---------------------------------------------------------------------------
@@ -630,16 +616,7 @@ def solve_general_grid(h: HierarchySpec, resolution: int) -> list[tuple[Fraction
             elif v == best:
                 arg[key] = None
 
-    pairs = list(arg)
-    keep = []
-    for pair in pairs:
-        dominated = any(
-            other != pair and other[0] <= pair[0] and pair[1] <= other[1]
-            for other in pairs
-        )
-        if not dominated:
-            keep.append(pair)
-    return sorted(keep)
+    return _staircase(arg)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from infochain import (
+    AgentSpec,
     BinaryPrior,
     DegenerateAgent,
     ExtremistReceiver,
@@ -140,6 +141,23 @@ class TestHierarchy:
         h = hierarchy([conformist_table(F(1, 4)), conformist_table(F(1, 4))],
                       conformist_table(F(2, 5)), P, strict=False)
         assert h.n == 2
+
+    def test_duplicate_labels_rejected(self):
+        senders = [AgentSpec(conformist_table(F(1, 4)), "desk"),
+                   AgentSpec(conformist_table(F(3, 10)), "desk")]
+        with pytest.raises(ValidationError, match="agents 0 and 1 share 'desk'"):
+            hierarchy(senders, conformist_table(F(2, 5)), P)
+        relaxed = hierarchy(senders, conformist_table(F(2, 5)), P, strict=False)
+        assert relaxed.labels == ("desk", "desk", "receiver")
+
+    def test_label_colliding_with_a_fallback_rejected(self):
+        with pytest.raises(ValidationError, match="agents 0 and 1 share 'receiver'"):
+            hierarchy([AgentSpec(conformist_table(F(1, 4)), "receiver")],
+                      conformist_table(F(2, 5)), P)
+        with pytest.raises(ValidationError, match="agents 0 and 1 share 'sender2'"):
+            hierarchy([AgentSpec(conformist_table(F(1, 4)), "sender2"),
+                       conformist_table(F(3, 10))],
+                      conformist_table(F(2, 5)), P)
 
     def test_mixed_models_rejected(self):
         with pytest.raises(ValidationError):

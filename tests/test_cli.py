@@ -20,6 +20,7 @@ from infochain import (
     sender_classes,
 )
 from infochain.cli import (
+    MAX_GRID,
     ParseError,
     RunConfig,
     ValidationError,
@@ -61,6 +62,20 @@ class TestIngest:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="thresholds must be pairwise distinct"):
             ingest(path)
+
+    @pytest.mark.parametrize("relabel", [
+        lambda doc: doc["senders"][1].update(label="skeptic"),
+        lambda doc: (doc["senders"][0].update(label="receiver"), doc["receiver"].pop("label")),
+    ], ids=["same_label", "label_meets_fallback"])
+    def test_duplicate_labels_exit_one(self, capsys, tmp_path, relabel):
+        doc = json.loads(PARTIAL.read_text())
+        relabel(doc)
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="labels must be pairwise distinct"):
+            ingest(path)
+        assert main(["solve", "--config", str(path)]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_threshold_collides_with_prior(self, tmp_path):
         doc = json.loads(ORDERING.read_text())
@@ -114,6 +129,13 @@ class TestRunConfig:
             with pytest.raises(ResolutionTooCoarse):
                 RunConfig(ORDERING, command, grid=9).validate()
             RunConfig(ORDERING, command, grid=10).validate()
+
+    def test_grid_ceiling_for_oracle_commands(self):
+        for command in ("oracle", "compare"):
+            with pytest.raises(ValidationError, match="at most 1000 steps"):
+                RunConfig(ORDERING, command, grid=MAX_GRID + 1).validate()
+            RunConfig(ORDERING, command, grid=MAX_GRID).validate()
+        RunConfig(INTERIOR, "curve", grid=2 * MAX_GRID).validate()
 
     def test_delta_domain(self):
         with pytest.raises(ValidationError):

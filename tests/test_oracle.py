@@ -4,6 +4,8 @@ the engine once and hand-checking the mechanics (set shapes, exclusion of
 non-credible garbles, collapse of receiver-constant outcomes)."""
 from __future__ import annotations
 
+import random
+from dataclasses import fields
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 from infochain import (
     BinaryPrior,
     IntervalCut,
+    OutcomeGrid,
     ResolutionTooCoarse,
     SeedRequired,
     UniformPrior,
@@ -78,6 +81,21 @@ class TestGrid:
     def test_degenerate_present(self, grid20):
         assert make_outcome(P.p, P.p, P) in grid20.outcomes
 
+    @pytest.mark.parametrize("p", [F(1, 3), F(2, 7), F(77, 100)])
+    @pytest.mark.parametrize("resolution", [10, 17, 37])
+    def test_outcomes_are_the_distinct_pair_outcomes(self, p, resolution):
+        prior = BinaryPrior(p)
+        grid = build_grid(prior, resolution)
+        want = sorted(
+            {make_outcome(a, b, prior) for a, b in grid_pairs(p, resolution)},
+            key=lambda o: (o.q0, o.q1),
+        )
+        assert list(grid.outcomes) == want
+        assert [grid.cell_of(o) for o in grid.outcomes] == grid.cells()
+
+    def test_grid_holds_only_coordinates(self):
+        assert [f.name for f in fields(OutcomeGrid)] == ["resolution", "prior", "q0s", "q1s"]
+
 
 class TestLevelSets:
     def test_last_level(self, grid20, chain):
@@ -140,6 +158,32 @@ class TestGridEquilibria:
         wide = make_outcome(F(1, 4), 1, P)
         narrow = make_outcome(F(2, 5), F(4, 5), P)
         assert blackwell_maximal([narrow, wide]) == [wide]
+
+
+def pairwise_maximal(outcomes):
+    """Reference: an outcome survives unless another, different outcome in
+    the list contains its support interval."""
+    keep = [
+        o for o in outcomes
+        if not any(other != o and other.q0 <= o.q0 and o.q1 <= other.q1 for other in outcomes)
+    ]
+    return sorted(set(keep), key=lambda o: (o.q0, o.q1))
+
+
+class TestBlackwellFilter:
+    def test_matches_the_pairwise_definition(self):
+        rng = random.Random(20)
+        lows = [F(k, 20) for k in range(13)]       # up to the prior 3/5
+        highs = [F(k, 20) for k in range(12, 21)]  # from the prior up
+        silent = make_outcome(P.p, P.p, P)
+        for _ in range(500):
+            picks = [make_outcome(rng.choice(lows), rng.choice(highs), P)
+                     for _ in range(rng.randint(0, 8))]
+            picks += rng.sample(picks, rng.randint(0, len(picks)))
+            if rng.random() < 0.5:
+                picks.append(silent)
+            rng.shuffle(picks)
+            assert blackwell_maximal(picks) == pairwise_maximal(picks)
 
 
 UNIFORM = UniformPrior()
@@ -213,6 +257,28 @@ class TestVerifySimple:
             conformist_table(F(2, 5)), P,
         )
         assert not verify_simple_equilibrium(h, make_outcome(0, 1, P), grid20)
+
+    def test_off_grid_outcome_rejected(self, grid20):
+        h = hierarchy(
+            [conformist_table(F(1, 4)), conformist_table(F(3, 10)), conformist_table(F(7, 10))],
+            conformist_table(F(2, 5)), P,
+        )
+        off = make_outcome(F(1, 7), 1, P)
+        assert grid20.cell_of(off) is None
+        assert not verify_simple_equilibrium(h, off, grid20)
+        assert verify_simple_equilibrium(h, off, build_grid(P, 35))
+
+    def test_outcome_over_another_prior_rejected(self, grid20, chain):
+        h, _ = chain
+        other = make_outcome(F(1, 4), 1, BinaryPrior(F(1, 2)))
+        assert grid20.cell_of(other) is None
+        assert not verify_simple_equilibrium(h, other, grid20)
+
+    def test_silence_passes(self, grid20, chain):
+        h, _ = chain
+        silent = make_outcome(P.p, P.p, P)
+        assert grid20.cell_of(silent) == (len(grid20.q0s) - 1, 0)
+        assert verify_simple_equilibrium(h, silent, grid20)
 
     def test_uniform_equilibrium_passes(self):
         h = hierarchy(
