@@ -3,10 +3,11 @@
 
 Draws random hierarchies, solves each with the closed-form engine, and then
 reproduces the answer by brute force: the binary mode asks for the closed
-support among the grid equilibria, the uniform mode asks for a surviving
-mean pair within one grid step of the closed support.  Any disagreement is
-printed with the full hierarchy and both answers, and the exit code is
-nonzero so the script can gate a long soak run.
+support among the grid equilibria and for the pass-through verifier to accept
+it, the uniform mode asks for a surviving mean pair within one grid step of
+the closed support.  Any disagreement or rejection is printed with the full
+hierarchy and both answers, and the exit code is nonzero so the script can
+gate a long soak run.
 
 Example:
     python3 scripts/cross_check.py --mode both --games 50 --seed 7
@@ -39,6 +40,7 @@ from infochain import (
     solve_general_grid,
     solve_general_uniform,
     solve_spe_grid,
+    verify_simple_equilibrium,
     zero_extremist_table,
 )
 from infochain.cli import hierarchy_doc
@@ -81,11 +83,16 @@ def check_binary(games: int, seed: int, resolution: int) -> int:
     for i in range(games):
         h = random_binary_game(rng)
         report = solve_binary(h)
-        supports = [o.support() for o in solve_spe_grid(h, build_grid(h.prior, resolution))]
+        grid = build_grid(h.prior, resolution)
+        supports = [o.support() for o in solve_spe_grid(h, grid)]
         if report.support not in supports:
             failures += 1
             print(f"[binary {i}] closed support {report.support} not among "
                   f"{supports}\n  hierarchy: {hierarchy_doc(h)}")
+        if not verify_simple_equilibrium(h, report, grid):
+            failures += 1
+            print(f"[binary {i}] pass-through verifier rejects closed support "
+                  f"{report.support}\n  hierarchy: {hierarchy_doc(h)}")
     return failures
 
 

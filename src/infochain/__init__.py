@@ -6,8 +6,6 @@ a binary action.  The package computes subgame-perfect equilibrium outcomes in
 closed form, cross-checks them against an exhaustive grid oracle, and finds
 receiver-optimal points at which to insert an extra intermediary.
 """
-from __future__ import annotations
-
 from .core import (
     BinaryOutcome,
     BinaryPrior,

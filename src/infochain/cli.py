@@ -102,6 +102,10 @@ _GRID_COMMANDS = ("oracle", "compare")
 #: grow with the G^2 cells of its belief grid
 MAX_GRID = 1000
 
+#: finest --grid ``curve`` accepts: it keeps one report row per cut, so its
+#: time and memory grow linearly with G
+_MAX_CURVE_GRID = 100_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -128,6 +132,10 @@ class RunConfig:
         if self.command in _GRID_COMMANDS and self.grid > MAX_GRID:
             raise ValidationError(
                 f"{self.command} takes a grid of at most {MAX_GRID} steps, got {self.grid}"
+            )
+        if self.command == "curve" and self.grid > _MAX_CURVE_GRID:
+            raise ValidationError(
+                f"curve takes a grid of at most {_MAX_CURVE_GRID} steps, got {self.grid}"
             )
         if self.command == "simulate":
             if self.seed is None:

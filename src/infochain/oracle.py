@@ -10,7 +10,7 @@ independent route:
   cell indices (i, j) into those axes with one value table per seat,
 * grid subgame-perfect equilibrium for the binary game,
 * exhaustive mean-pair search for the uniform-state game,
-* a pass-through (simple-equilibrium) deviation scan, and
+* a pass-through (simple-equilibrium) check, read off the same level sets, and
 * seeded Monte-Carlo signal propagation.
 
 Values are exact rationals end to end; only Monte Carlo uses floats.
@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -251,15 +251,19 @@ def _cone_max(table: list[list[Optional[Fraction]]]) -> list[list[Optional[Fract
     return m
 
 
-def ic_chain(h: HierarchySpec, grid: OutcomeGrid) -> IcChain:
-    """Build the level-set chain for a binary-state hierarchy on the grid."""
+def _level_sets(
+    h: HierarchySpec, grid: OutcomeGrid, first_seat: int
+) -> Iterator[tuple[int, list[list[Fraction]], list[list[bool]]]]:
+    """The level-set recursion, seat n down to first_seat: yields each seat,
+    its value table and the member mask of its level.  A cell stays in level k
+    when it is in level k+1 and seat k values it at least as much as every
+    cell of level k+1 in its contraction cone, so the masks only shrink."""
+    seats = range(h.n, first_seat - 1, -1)
+    if not seats:
+        return  # a chain without senders has no tie rule to build
     act = action_rule(h)
-    cells = grid.cells()
-    outcomes = grid.outcomes
     member = [[True] * len(grid.q1s) for _ in grid.q0s]
-    proof = [[True] * len(grid.q1s) for _ in grid.q0s]
-    levels: dict[int, tuple[BinaryOutcome, ...]] = {}
-    for idx in range(h.n, 1, -1):
+    for idx in seats:
         table = _value_table(h.senders[idx - 1].utility, act, grid)
         ceiling = _cone_max(
             [[v if m else None for v, m in zip(*rows)] for rows in zip(table, member)]
@@ -267,6 +271,16 @@ def ic_chain(h: HierarchySpec, grid: OutcomeGrid) -> IcChain:
         member = [
             [m and v == c for v, m, c in zip(*rows)] for rows in zip(table, member, ceiling)
         ]
+        yield idx, table, member
+
+
+def ic_chain(h: HierarchySpec, grid: OutcomeGrid) -> IcChain:
+    """Build the level-set chain for a binary-state hierarchy on the grid."""
+    cells = grid.cells()
+    outcomes = grid.outcomes
+    proof = [[True] * len(grid.q1s) for _ in grid.q0s]
+    levels: dict[int, tuple[BinaryOutcome, ...]] = {}
+    for idx, table, member in _level_sets(h, grid, 2):
         # garble-proof set: no intermediary strictly prefers any contraction,
         # credible or not, over the outcome itself
         proof = [
@@ -288,18 +302,20 @@ def solve_spe_grid(
 ) -> list[BinaryOutcome]:
     """Equilibrium outcomes of the grid game: player 1's best pick among what
     the rest of the chain will pass, keeping only the Blackwell-maximal
-    elements of the argmax (less informative payoff-ties are discarded)."""
+    elements of the argmax (less informative payoff-ties are discarded).
+    ``chain``, when given, must be ``ic_chain(h, grid)``."""
     if chain is None:
         chain = ic_chain(h, grid)
     candidates = chain.levels[2] if 2 in chain.levels else grid.outcomes
     if not candidates:
         raise EmptyLevelSet("no passable outcome for player 1")
     act = action_rule(h)
-    u1 = h.senders[0].utility
+    value = _value_table(h.senders[0].utility, act, grid)
     best: Optional[Fraction] = None
     arg: list[BinaryOutcome] = []
     for o in candidates:
-        v = outcome_value(u1, o, act)
+        i, j = grid.cell_of(o)
+        v = value[i][j]
         if best is None or v > best:
             best, arg = v, [o]
         elif v == best:
@@ -341,41 +357,14 @@ def blackwell_maximal(outcomes: Sequence[BinaryOutcome]) -> list[BinaryOutcome]:
 # pass-through (simple-equilibrium) verification
 # ---------------------------------------------------------------------------
 
-def _delivered_after(
-    h: HierarchySpec,
-    grid: OutcomeGrid,
-    first_seat: int,
-) -> list[list[list[Cell]]]:
-    """For each grid cell, the cells of the outcomes actually reaching the
-    receiver when senders first_seat..n best-respond to it (ties kept,
-    filtered to Blackwell-maximal; payoff evaluation of a tied set is
-    optimistic).  The silent corner stands for every silent cell; the other
-    cells are ordered by their intervals, so the filter runs on indices."""
-    act = action_rule(h)
-    ni, nj = len(grid.q0s), len(grid.q1s)
-    delivered = [
-        [[(i, j) if i < ni - 1 and j > 0 else (ni - 1, 0)] for j in range(nj)]
-        for i in range(ni)
-    ]
-    for idx in range(h.n, first_seat - 1, -1):
-        value = _value_table(h.senders[idx - 1].utility, act, grid)
-        best_val: list[list[Fraction]] = [[] for _ in range(ni)]
-        best_set: list[list[list[Cell]]] = [[] for _ in range(ni)]
-        for i in range(ni - 1, -1, -1):
-            for j in range(nj):
-                val = max(value[a][b] for a, b in delivered[i][j])
-                out = [(a, b) for a, b in delivered[i][j] if value[a][b] == val]
-                for pi, pj in ((i + 1, j), (i, j - 1)):
-                    if pi < ni and pj >= 0:
-                        pv = best_val[pi][pj]
-                        if pv > val:
-                            val, out = pv, list(best_set[pi][pj])
-                        elif pv == val:
-                            out.extend(best_set[pi][pj])
-                best_val[i].append(val)
-                best_set[i].append(_staircase(out))
-        delivered = best_set
-    return delivered
+def _passed_unchanged(h: HierarchySpec, grid: OutcomeGrid, first_seat: int, cell: Cell) -> bool:
+    """Whether seats first_seat..n, best-responding on the grid, deliver the
+    cell unchanged: what they deliver from c is the Blackwell-maximal argmax of
+    seat first_seat's value over level first_seat+1 within c's contraction
+    cone, so c comes out unchanged exactly when it lies in level first_seat.
+    The masks only shrink, so the scan stops at the first seat that drops c."""
+    i, j = cell
+    return all(member[i][j] for _, _, member in _level_sets(h, grid, first_seat))
 
 
 def _verify_binary_pass_through(
@@ -397,12 +386,7 @@ def _verify_binary_pass_through(
     # (ii) no intermediary strictly gains by garbling, given that successors
     # best-respond on the grid
     cell = grid.cell_of(outcome)
-    if cell is None:
-        return False
-    if h.n < 2:
-        return True
-    i, j = cell
-    return cell in _delivered_after(h, grid, 2)[i][j]
+    return cell is not None and _passed_unchanged(h, grid, 2, cell)
 
 
 def _uniform_subgame_tables(h: HierarchySpec, m0: Fraction, m1: Fraction) -> HierarchySpec:
@@ -451,10 +435,7 @@ def verify_simple_equilibrium(
     if isinstance(outcome, BinaryOutcome):
         support = outcome.support()
     else:
-        raw = getattr(outcome, "support", outcome)
-        if callable(raw):
-            raw = raw()
-        support = tuple(as_ratio(x) for x in raw)
+        support = tuple(as_ratio(x) for x in getattr(outcome, "support", outcome))
     if len(support) == 1 or support[0] == support[-1]:
         return True  # nothing to garble
     m0, m1 = support[0], support[-1]
@@ -465,12 +446,10 @@ def verify_simple_equilibrium(
     sub = _uniform_subgame_tables(h, m0, m1)
     resolution = grid if isinstance(grid, int) else (grid.resolution if grid else 100)
     sub_grid = build_grid(sub.prior, resolution)
-    i, j = cell = sub_grid.cell_of(make_outcome(0, 1, sub.prior))
+    full = sub_grid.cell_of(make_outcome(0, 1, sub.prior))
     # scan every intermediary of the original chain (all senders of the
     # stand-in), and skip the realizability composition which the cut handles
-    if sub.n == 0:
-        return True
-    return cell in _delivered_after(sub, sub_grid, 1)[i][j]
+    return _passed_unchanged(sub, sub_grid, 1, full)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,12 @@ class TestRunConfig:
             RunConfig(ORDERING, command, grid=MAX_GRID).validate()
         RunConfig(INTERIOR, "curve", grid=2 * MAX_GRID).validate()
 
+    def test_grid_ceiling_for_curve(self):
+        # validate() only, so nothing ever runs at the extreme value
+        with pytest.raises(ValidationError, match="at most 100000 steps"):
+            RunConfig(INTERIOR, "curve", grid=100_001).validate()
+        RunConfig(INTERIOR, "curve", grid=100_000).validate()
+
     def test_delta_domain(self):
         with pytest.raises(ValidationError):
             RunConfig(ORDERING, "vp", delta=F(3, 2)).validate()

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import infochain
 from infochain import (
     BinaryPrior,
     OrderViolation,
@@ -137,3 +138,7 @@ class TestUniformFeasibility:
 
     def test_uniform_prior_mean(self):
         assert UniformPrior().mean == F(1, 2)
+
+
+def test_all_leaves_out_the_future_import():
+    assert "annotations" not in infochain.__all__

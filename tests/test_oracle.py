@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import fields
+from functools import cache
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from infochain import (
     linear_utility,
     make_outcome,
     monte_carlo,
+    one_extremist_table,
     solve_binary,
     solve_general_grid,
     solve_general_uniform,
@@ -39,6 +41,7 @@ from infochain import (
     zero_extremist_table,
 )
 from infochain.cli import ingest
+from infochain.oracle import action_rule, outcome_value
 
 P = BinaryPrior(F(3, 5))
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -279,6 +282,59 @@ class TestVerifySimple:
         silent = make_outcome(P.p, P.p, P)
         assert grid20.cell_of(silent) == (len(grid20.q0s) - 1, 0)
         assert verify_simple_equilibrium(h, silent, grid20)
+
+    def test_verdicts_match_a_naive_best_response_scan(self, chain):
+        # every grid outcome of small chains, against the definition: seat k
+        # keeps c unless some contraction of c pays it strictly more once the
+        # later seats best-respond (ties resolved optimistically).  The
+        # module's chain comes first: its level 2 is wider than its
+        # garble-proof set, which random draws rarely produce.
+        def naive(h, grid, c):
+            act = action_rule(h)
+            outs = grid.outcomes
+
+            def cone(o):
+                return [d for d in outs if d.q0 >= o.q0 and d.q1 <= o.q1]
+
+            @cache
+            def value(k, o):
+                return outcome_value(h.senders[k - 1].utility, o, act)
+
+            @cache
+            def reach(k, o):
+                """What seats k..n may deliver from o, every tie kept."""
+                if k > h.n:
+                    return frozenset([o])
+                pool = {x for d in cone(o) for x in reach(k + 1, d)}
+                best = max(value(k, x) for x in pool)
+                return frozenset(x for x in pool if value(k, x) == best)
+
+            return all(
+                value(k, c) >= max(value(k, x) for d in cone(c) for x in reach(k + 1, d))
+                for k in range(2, h.n + 1)
+            )
+
+        rng = random.Random(4)
+        kinds = [conformist_table, contrarian_table, zero_extremist_table, one_extremist_table]
+        games = [(chain[0], 10)]
+        for _ in range(24):
+            pool = [F(k, 100) for k in range(1, 100)]
+            rng.shuffle(pool)
+            p = BinaryPrior(pool.pop())
+            senders = []
+            for _ in range(rng.randint(1, 3)):
+                kind = rng.choice(kinds)
+                senders.append(kind(pool.pop()) if kind in kinds[:2] else kind())
+            receiver = rng.choice(kinds[:2])(pool.pop())
+            games.append((hierarchy(senders, receiver, p), rng.randint(10, 12)))
+        verdicts = set()
+        for h, resolution in games:
+            grid = build_grid(h.prior, resolution)
+            for c in grid.outcomes:
+                verdict = verify_simple_equilibrium(h, c, grid)
+                assert verdict == naive(h, grid, c), (h, c)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_uniform_equilibrium_passes(self):
         h = hierarchy(
