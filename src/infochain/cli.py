@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import os
+import reprlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,6 +107,12 @@ MAX_GRID = 1000
 #: time and memory grow linearly with G
 _MAX_CURVE_GRID = 100_000
 
+#: longest number text and largest decimal exponent a config field or flag may
+#: carry: ``Fraction("1e-10000000")`` alone takes seconds and builds a
+#: ten-million-digit integer, and exact arithmetic on it only grows
+_MAX_NUMBER_CHARS = 100
+_MAX_EXPONENT = 100
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -140,8 +147,10 @@ class RunConfig:
         if self.command == "simulate":
             if self.seed is None:
                 raise SeedRequired("simulate needs --seed; runs must be reproducible")
-            if self.trials < 1:
-                raise ValidationError(f"trials must be positive, got {self.trials}")
+            if self.trials < 2:
+                raise ValidationError(
+                    f"trials must be at least 2 for a standard error, got {self.trials}"
+                )
         if self.command == "vp" and not 0 < self.delta < 1:
             raise ValidationError(
                 f"delta must sit strictly inside (0, 1), got {self.delta}"
@@ -152,16 +161,32 @@ class RunConfig:
 # hierarchy files
 # ---------------------------------------------------------------------------
 
+def _parse_number(raw: Union[int, float, str]) -> Fraction:
+    """Read a config field or flag exactly, refusing text too long or with an
+    exponent too large before ``Fraction`` runs on it.  Raises ValueError or
+    ZeroDivisionError on anything that is not a number."""
+    text = str(raw)
+    if len(text) > _MAX_NUMBER_CHARS:
+        raise ValueError(f"longer than {_MAX_NUMBER_CHARS} characters")
+    try:
+        exponent = int(text.lower().partition("e")[2])
+    except ValueError:
+        exponent = 0  # no exponent, or a malformed one that Fraction refuses
+    if abs(exponent) > _MAX_EXPONENT:
+        raise ValueError(f"exponent beyond +/-{_MAX_EXPONENT}")
+    return as_ratio(raw)
+
+
 def _ratio_field(doc: dict, key: str, where: str) -> Fraction:
     if key not in doc:
         raise ParseError("missing numeric field", field=f"{where}.{key}")
     raw = doc[key]
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
-        raise ParseError(f"expected a number, got {raw!r}", field=f"{where}.{key}")
+        raise ParseError(f"expected a number, got {reprlib.repr(raw)}", field=f"{where}.{key}")
     try:
-        return as_ratio(raw)
+        return _parse_number(raw)
     except (ValueError, ZeroDivisionError) as e:
-        raise ParseError(f"bad number {raw!r}: {e}", field=f"{where}.{key}") from e
+        raise ParseError(f"bad number {reprlib.repr(raw)}: {e}", field=f"{where}.{key}") from e
 
 
 def _agent_from_doc(doc: Any, where: str) -> AgentSpec:
@@ -226,6 +251,8 @@ def ingest(path: Union[str, Path]) -> HierarchySpec:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno) from e
+    except ValueError as e:  # an integer past the interpreter's digit limit
+        raise ParseError(str(e)) from e
     return hierarchy_from_doc(doc)
 
 
@@ -454,7 +481,8 @@ def _cmd_simulate(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
     for i, label in enumerate(mc.labels):
         analytic = r.values[i]
         gap = mc.means[i] - float(analytic)
-        z = 0.0 if gap == 0 else (gap / mc.stderrs[i] if mc.stderrs[i] else float("inf"))
+        # no z when every draw agreed (standard error 0) yet missed the value
+        z = 0.0 if gap == 0 else (gap / mc.stderrs[i] if mc.stderrs[i] else None)
         rows.append({
             "label": label,
             "analytic": str(analytic),
@@ -474,7 +502,8 @@ def _cmd_simulate(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
     writer.writerow(["label", "analytic", "empirical", "stderr", "z"])
     for row in rows:
         writer.writerow([row["label"], _sig(row["analytic_float"]),
-                         _sig(row["empirical"]), _sig(row["stderr"]), _sig(row["z"])])
+                         _sig(row["empirical"]), _sig(row["stderr"]),
+                         "" if row["z"] is None else _sig(row["z"])])
     return 0, report, {"simulate.csv": out.getvalue()}
 
 
@@ -588,7 +617,7 @@ def run(config: RunConfig) -> int:
         h = ingest(config.hierarchy_path)
         code, report, files = _COMMANDS[config.command](h, config)
         report = {"command": config.command, **report, "hierarchy": hierarchy_doc(h)}
-        rendered = json.dumps(report, indent=2)
+        rendered = json.dumps(report, indent=2, allow_nan=False)
         if config.fmt == "csv":
             # tabular commands print their natural table; the rest flatten
             _emit(files.get(f"{config.command}.csv") or _csv_view(report))
@@ -636,9 +665,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        delta = as_ratio(args.delta)
-    except (ValueError, ZeroDivisionError):
-        print(f"error: --delta must be a number, got {args.delta!r}", file=sys.stderr)
+        delta = _parse_number(args.delta)
+    except (ValueError, ZeroDivisionError) as e:
+        print(f"error: --delta must be a number, got {reprlib.repr(args.delta)}: {e}",
+              file=sys.stderr)
         return 1
     config = RunConfig(
         hierarchy_path=Path(args.config),

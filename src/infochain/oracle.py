@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -113,9 +114,11 @@ class OutcomeGrid:
     @property
     def outcomes(self) -> tuple[BinaryOutcome, ...]:
         """The outcome of each of ``cells()``, built on every call."""
-        return tuple(
-            make_outcome(self.q0s[i], self.q1s[j], self.prior) for i, j in self.cells()
-        )
+        return self.outcomes_at(self.cells())
+
+    def outcomes_at(self, cells: Sequence[Cell]) -> tuple[BinaryOutcome, ...]:
+        """The outcome of each of the given cells, built on every call."""
+        return tuple(make_outcome(self.q0s[i], self.q1s[j], self.prior) for i, j in cells)
 
     def cell_of(self, outcome: BinaryOutcome) -> Optional[Cell]:
         """The cell of an outcome over this grid's prior, None when off-grid."""
@@ -219,19 +222,32 @@ def _value_table(
 
 @dataclass(eq=False)
 class IcChain:
-    """Level sets of outcomes each intermediary passes along.
+    """Level sets of outcomes each intermediary passes along, held as cell
+    masks over the grid.
 
     ``levels[i]`` holds the outcomes sender i would deliver unchanged given
     that senders i+1..n behave likewise (computed back from the receiver);
     level sets shrink toward the front of the chain.  ``garble_proof`` is the
     stricter set no intermediary would garble *regardless* of what later
     players tolerate — a strict subset in general, which is exactly why the
-    recursion matters.
+    recursion matters.  Both are built from ``masks`` and ``proof_mask`` on
+    first access, in the grid's ``cells()`` order.
     """
 
     grid: OutcomeGrid
-    levels: dict[int, tuple[BinaryOutcome, ...]]
-    garble_proof: tuple[BinaryOutcome, ...]
+    masks: dict[int, list[list[bool]]]
+    proof_mask: list[list[bool]]
+
+    def _outcomes(self, mask: list[list[bool]]) -> tuple[BinaryOutcome, ...]:
+        return self.grid.outcomes_at([(i, j) for i, j in self.grid.cells() if mask[i][j]])
+
+    @cached_property
+    def levels(self) -> dict[int, tuple[BinaryOutcome, ...]]:
+        return {idx: self._outcomes(mask) for idx, mask in self.masks.items()}
+
+    @cached_property
+    def garble_proof(self) -> tuple[BinaryOutcome, ...]:
+        return self._outcomes(self.proof_mask)
 
 
 def _cone_max(table: list[list[Optional[Fraction]]]) -> list[list[Optional[Fraction]]]:
@@ -276,10 +292,8 @@ def _level_sets(
 
 def ic_chain(h: HierarchySpec, grid: OutcomeGrid) -> IcChain:
     """Build the level-set chain for a binary-state hierarchy on the grid."""
-    cells = grid.cells()
-    outcomes = grid.outcomes
     proof = [[True] * len(grid.q1s) for _ in grid.q0s]
-    levels: dict[int, tuple[BinaryOutcome, ...]] = {}
+    masks: dict[int, list[list[bool]]] = {}
     for idx, table, member in _level_sets(h, grid, 2):
         # garble-proof set: no intermediary strictly prefers any contraction,
         # credible or not, over the outcome itself
@@ -287,12 +301,10 @@ def ic_chain(h: HierarchySpec, grid: OutcomeGrid) -> IcChain:
             [ok and v == c for v, ok, c in zip(*rows)]
             for rows in zip(table, proof, _cone_max(table))
         ]
-        level = tuple(o for o, (i, j) in zip(outcomes, cells) if member[i][j])
-        if not level:
+        if not any(map(any, member)):
             raise EmptyLevelSet(f"level {idx} is empty")
-        levels[idx] = level
-    garble_proof = tuple(o for o, (i, j) in zip(outcomes, cells) if proof[i][j])
-    return IcChain(grid=grid, levels=levels, garble_proof=garble_proof)
+        masks[idx] = member
+    return IcChain(grid=grid, masks=masks, proof_mask=proof)
 
 
 def solve_spe_grid(
@@ -306,32 +318,23 @@ def solve_spe_grid(
     ``chain``, when given, must be ``ic_chain(h, grid)``."""
     if chain is None:
         chain = ic_chain(h, grid)
-    candidates = chain.levels[2] if 2 in chain.levels else grid.outcomes
-    if not candidates:
+    cells = grid.cells()
+    if 2 in chain.masks:
+        member = chain.masks[2]
+        cells = [(i, j) for i, j in cells if member[i][j]]
+    if not cells:
         raise EmptyLevelSet("no passable outcome for player 1")
     act = action_rule(h)
     value = _value_table(h.senders[0].utility, act, grid)
-    best: Optional[Fraction] = None
-    arg: list[BinaryOutcome] = []
-    for o in candidates:
-        i, j = grid.cell_of(o)
-        v = value[i][j]
-        if best is None or v > best:
-            best, arg = v, [o]
-        elif v == best:
-            arg.append(o)
-    # outcomes the receiver answers with one constant action are informative
-    # in name only; report them as the degenerate outcome they are worth
-    degenerate = make_outcome(grid.prior.p, grid.prior.p, grid.prior)
-
-    def canonical(o: BinaryOutcome) -> BinaryOutcome:
-        if o.degenerate:
-            return o
-        if act(o.q0) == act(o.q1) == act(o.p):
-            return degenerate
-        return o
-
-    return blackwell_maximal([canonical(o) for o in arg])
+    best = max(value[i][j] for i, j in cells)
+    # cells the receiver answers with one constant action are informative in
+    # name only; report them as the silent corner they are worth
+    low, high = [act(q) for q in grid.q0s], [act(q) for q in grid.q1s]
+    silent = (len(grid.q0s) - 1, 0)
+    arg = [silent if low[i] == high[j] == low[-1] else (i, j)
+           for i, j in cells if value[i][j] == best]
+    # cells are ordered like their coordinates, so the staircase runs on them
+    return list(grid.outcomes_at(_staircase(arg)))
 
 
 def _staircase(items, interval=lambda item: item) -> list:
@@ -372,16 +375,11 @@ def _verify_binary_pass_through(
     outcome: BinaryOutcome,
     grid: OutcomeGrid,
 ) -> bool:
-    p = grid.prior.p
-    if outcome.p != p:
+    if outcome.p != grid.prior.p:
         return False
-    # (i) the outcome is realizable as player 1's experiment followed by
-    # identity pass-through
-    pi = experiment_of_outcome(outcome)
-    composed = pi
-    for _ in range(h.n - 1):
-        composed = compose(composed, identity_experiment(2))
-    if outcome_of_experiment(grid.prior, composed) != outcome:
+    # (i) the outcome is realizable as player 1's experiment (identity
+    # pass-through composes to the same experiment)
+    if outcome_of_experiment(grid.prior, experiment_of_outcome(outcome)) != outcome:
         return False
     # (ii) no intermediary strictly gains by garbling, given that successors
     # best-respond on the grid
@@ -446,10 +444,9 @@ def verify_simple_equilibrium(
     sub = _uniform_subgame_tables(h, m0, m1)
     resolution = grid if isinstance(grid, int) else (grid.resolution if grid else 100)
     sub_grid = build_grid(sub.prior, resolution)
-    full = sub_grid.cell_of(make_outcome(0, 1, sub.prior))
-    # scan every intermediary of the original chain (all senders of the
-    # stand-in), and skip the realizability composition which the cut handles
-    return _passed_unchanged(sub, sub_grid, 1, full)
+    # full information is cell (0, 1); scan every intermediary of the original
+    # chain (all senders of the stand-in); the cut itself is always realizable
+    return _passed_unchanged(sub, sub_grid, 1, (0, len(sub_grid.q1s) - 1))
 
 
 # ---------------------------------------------------------------------------

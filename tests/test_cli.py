@@ -112,6 +112,21 @@ class TestIngest:
                 ingest(path)
             assert err.value.field == field
 
+    @pytest.mark.parametrize("number", [
+        '"1e-5000"', '"1e-10000000"', '"0.' + "1" * 200 + '"', "1" + "0" * 4999,
+    ], ids=["exponent", "huge_exponent", "long_text", "digit_limit"])
+    def test_hostile_numbers_exit_one(self, capsys, tmp_path, number):
+        # refused before any exact arithmetic (or the JSON reader's own
+        # integer conversion) can blow up
+        text = PARTIAL.read_text().replace('"p": "3/5"', f'"p": {number}')
+        assert text != PARTIAL.read_text()
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        assert main(["solve", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err) < 300
+
     @pytest.mark.parametrize("fixture", ["binary_ordering", "binary_partial",
                                          "uniform_interior", "uniform_silent"])
     def test_documents_round_trip(self, fixture):
@@ -146,6 +161,12 @@ class TestRunConfig:
     def test_delta_domain(self):
         with pytest.raises(ValidationError):
             RunConfig(ORDERING, "vp", delta=F(3, 2)).validate()
+
+    def test_simulate_needs_two_trials(self):
+        # a standard error needs two draws
+        with pytest.raises(ValidationError, match="at least 2"):
+            RunConfig(PARTIAL, "simulate", trials=1, seed=1).validate()
+        RunConfig(PARTIAL, "simulate", trials=2, seed=1).validate()
 
     def test_unknown_command(self):
         with pytest.raises(ValidationError):
@@ -270,6 +291,22 @@ class TestCommands:
         assert outs[0] == outs[1]
         assert set(outs[0]) == {"simulate.csv", "simulate.json"}
 
+    def test_simulate_prints_strict_json(self, capsys):
+        # with two draws the skeptic's payoffs agree (standard error 0) yet
+        # miss the analytic value: z has no value, not an infinite one
+        def refuse(constant):
+            raise ValueError(f"non-finite number {constant} in the report")
+
+        assert main(["simulate", "--config", str(PARTIAL), "--seed", "1",
+                     "--trials", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        skeptic = doc["rows"][0]
+        assert (skeptic["stderr"], skeptic["z"]) == (0.0, None)
+        assert skeptic["empirical"] != skeptic["analytic_float"]
+        assert main(["simulate", "--config", str(PARTIAL), "--seed", "1",
+                     "--trials", "2", "--format", "csv"]) == 0
+        assert "\nskeptic,0.12,0,0,\n" in capsys.readouterr().out
+
     def test_curve(self, capsys, tmp_path):
         out_dir = tmp_path / "curve"
         code = main(["curve", "--config", str(INTERIOR), "--out", str(out_dir)])
@@ -327,7 +364,10 @@ class TestExitCodes:
         assert main(["oracle", "--config", str(PARTIAL), "--grid", "3"]) == 1
         assert main(["vp", "--config", str(ORDERING), "--delta", "7"]) == 1
         assert main(["vp", "--config", str(ORDERING), "--delta", "abc"]) == 1
-        capsys.readouterr()
+        assert main(["vp", "--config", str(ORDERING), "--delta", "1e-5000"]) == 1
+        assert main(["simulate", "--config", str(PARTIAL), "--seed", "1",
+                     "--trials", "1"]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_internal_faults_exit_three(self, capsys, monkeypatch):
         from infochain import cli

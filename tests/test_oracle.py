@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from infochain import (
+    BinaryOutcome,
     BinaryPrior,
     IntervalCut,
     OutcomeGrid,
@@ -32,6 +33,7 @@ from infochain import (
     linear_utility,
     make_outcome,
     monte_carlo,
+    no_information,
     one_extremist_table,
     solve_binary,
     solve_general_grid,
@@ -40,6 +42,7 @@ from infochain import (
     verify_simple_equilibrium,
     zero_extremist_table,
 )
+from infochain import oracle
 from infochain.cli import ingest
 from infochain.oracle import action_rule, outcome_value
 
@@ -157,6 +160,33 @@ class TestGridEquilibria:
         )
         assert support_set(solve_spe_grid(h, grid20)) == [(P.p, P.p)]
 
+    def test_matches_the_definition(self):
+        # player 1's argmax of outcome_value over level 2 (every grid outcome
+        # when she moves alone), outcomes the receiver answers with one action
+        # read as silence, then the Blackwell filter; most priors here are
+        # off the 1/G lattice
+        rng = random.Random(29)
+        kinds = [conformist_table, contrarian_table, zero_extremist_table, one_extremist_table]
+        for n in [1, 2, 3, 4] * 6:
+            pool = [F(k, 100) for k in range(1, 100)]
+            rng.shuffle(pool)
+            p = BinaryPrior(pool.pop())
+            senders = []
+            for _ in range(n):
+                kind = rng.choice(kinds)
+                senders.append(kind(pool.pop()) if kind in kinds[:2] else kind())
+            h = hierarchy(senders, rng.choice(kinds[:2])(pool.pop()), p)
+            grid = build_grid(p, rng.randint(10, 23))
+            act = action_rule(h)
+            candidates = ic_chain(h, grid).levels[2] if n > 1 else grid.outcomes
+            value = {o: outcome_value(h.senders[0].utility, o, act) for o in candidates}
+            best = max(value.values())
+            arg = [
+                no_information(p) if act(o.q0) == act(o.q1) == act(o.p) else o
+                for o in candidates if value[o] == best
+            ]
+            assert solve_spe_grid(h, grid) == blackwell_maximal(arg), (h, grid.resolution)
+
     def test_blackwell_filter(self):
         wide = make_outcome(F(1, 4), 1, P)
         narrow = make_outcome(F(2, 5), F(4, 5), P)
@@ -171,6 +201,34 @@ def pairwise_maximal(outcomes):
         if not any(other != o and other.q0 <= o.q0 and o.q1 <= other.q1 for other in outcomes)
     ]
     return sorted(set(keep), key=lambda o: (o.q0, o.q1))
+
+
+class TestOutcomesOnlyAtTheBoundary:
+    @pytest.mark.parametrize("senders", [
+        [conformist_table(F(7, 20)), zero_extremist_table(), conformist_table(F(1, 5))],
+        [conformist_table(F(1, 4)), contrarian_table(F(1, 10)), conformist_table(F(3, 10))],
+        [contrarian_table(F(1, 10))],
+    ], ids=["partial", "blocked", "alone"])
+    def test_cells_until_the_result(self, monkeypatch, grid20, senders):
+        # the level sets stay cell masks: ic_chain builds no outcome, and
+        # solve_spe_grid builds one per outcome it returns, never mapping an
+        # outcome back to its cell
+        h = hierarchy(senders, conformist_table(F(2, 5)), P)
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return make_outcome(*args)
+
+        def no_cell_of(grid, outcome):
+            raise AssertionError("solve_spe_grid mapped an outcome back to its cell")
+
+        monkeypatch.setattr(oracle, "make_outcome", counted)
+        monkeypatch.setattr(OutcomeGrid, "cell_of", no_cell_of)
+        chain = ic_chain(h, grid20)
+        assert made == []
+        spe = solve_spe_grid(h, grid20, chain)
+        assert 1 <= len(made) <= len(spe)
 
 
 class TestBlackwellFilter:
@@ -335,6 +393,14 @@ class TestVerifySimple:
                 assert verdict == naive(h, grid, c), (h, c)
                 verdicts.add(verdict)
         assert verdicts == {True, False}
+
+    def test_weights_must_match_the_support(self):
+        # the closed-form outcome of the shipped config passes; the same
+        # support with hand-set weights is no outcome player 1 can realize
+        h = ingest(CONFIGS / "binary_partial.json")
+        assert verify_simple_equilibrium(h, make_outcome(F(1, 4), 1, F(3, 5)))
+        forged = BinaryOutcome(F(1, 4), F(1), F(3, 5), F(1, 2), F(1, 2))
+        assert not verify_simple_equilibrium(h, forged)
 
     def test_uniform_equilibrium_passes(self):
         h = hierarchy(
