@@ -244,15 +244,19 @@ def hierarchy_from_doc(doc: Any) -> HierarchySpec:
 def ingest(path: Union[str, Path]) -> HierarchySpec:
     """Parse and validate a hierarchy file."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8: {e.reason} at byte {e.start}") from e
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno) from e
     except ValueError as e:  # an integer past the interpreter's digit limit
         raise ParseError(str(e)) from e
+    except RecursionError as e:
+        raise ParseError("JSON nested too deeply") from e
     return hierarchy_from_doc(doc)
 
 

@@ -21,9 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
 from .core import (
     HALF,
@@ -31,6 +29,7 @@ from .core import (
     BinaryPrior,
     ChainError,
     Experiment,
+    OrderViolation,
     UniformPrior,
     as_ratio,
     compose,
@@ -49,6 +48,9 @@ from .agents import (
     classify_linear,
     reclassify_under_support,
 )
+
+if TYPE_CHECKING:
+    import numpy as np  # for annotations; Monte Carlo imports it when it runs
 
 
 class ResolutionTooCoarse(ChainError):
@@ -378,8 +380,12 @@ def _verify_binary_pass_through(
     if outcome.p != grid.prior.p:
         return False
     # (i) the outcome is realizable as player 1's experiment (identity
-    # pass-through composes to the same experiment)
-    if outcome_of_experiment(grid.prior, experiment_of_outcome(outcome)) != outcome:
+    # pass-through composes to the same experiment); weights off the support's
+    # Bayes-plausible ones can invert to no experiment at all
+    try:
+        if outcome_of_experiment(grid.prior, experiment_of_outcome(outcome)) != outcome:
+            return False
+    except OrderViolation:
         return False
     # (ii) no intermediary strictly gains by garbling, given that successors
     # best-respond on the grid
@@ -561,32 +567,106 @@ def _means_value(u: LinearUtility, cells: list[tuple[Fraction, Fraction, int]]) 
     return sum((w * u.gain_of_action1(m) for m, w, a in cells if a == 1), Fraction(0))
 
 
+def _delivered(
+    cells: list[tuple[Fraction, Fraction, int]], points: Sequence[Fraction]
+) -> Optional[tuple[int, int]]:
+    """The positions in ``points`` of a two-cell answer's two means, or None
+    when the answer is silence."""
+    if len(cells) == 1:
+        return None
+    try:
+        return points.index(cells[0][0]), points.index(cells[1][0])
+    except ValueError:
+        raise ChainError(
+            f"subgame delivered {cells[0][0]}, {cells[1][0]}, not among {list(points)}"
+        ) from None
+
+
 def solve_general_grid(h: HierarchySpec, resolution: int) -> list[tuple[Fraction, Fraction]]:
     """Exhaustive search over player 1's grid mean pairs, each answered by the
     induced subgame; returns the Blackwell-maximal argmax supports (a
-    degenerate result is reported as (1/2, 1/2))."""
+    degenerate result is reported as (1/2, 1/2)).
+
+    The subgame is answered once per *order type*, not once per pair.  Let
+    w range over the crossings of seats 2..n and of the receiver (w_r).  The
+    order type of (m0, m1) is the sign of m0 - w and of m1 - w for every w,
+    with the sign of m0 - 1/2 and of m1 - 1/2.  Claim: over the pairs of one
+    order type, ``_respond_to_means`` is either always silence or always two
+    cells whose means are the same two of {m0, m1, the crossings}, each with
+    the same receiver action; only the weights depend on the pair.
+
+    Proof.  The search keeps m0 <= 1/2 <= m1, so m0 = m1 holds only where both
+    signs against 1/2 are zero.  Otherwise m0 < m1, so phi(x) =
+    (x - m0)/(m1 - m0) is increasing and affine.  The guard 0 < phi(w_r) < 1
+    reads m0 < w_r < m1 and 0 < phi(1/2) < 1 reads m0 < 1/2 < m1: signs of the
+    type.  ``classify_linear`` reads the utility alone;
+    ``reclassify_under_support`` makes a crossing w extremist when w < m0 or
+    w > m1 (signs of the type) and otherwise keeps its kind with threshold
+    phi(w).  The action flip reads the receiver's slope; the reflection
+    x -> 1 - x is taken iff phi(w_r) > phi(1/2), i.e. iff w_r > 1/2, and
+    mu_r = p iff w_r = 1/2: fixed by the game.  So every kind reaching
+    ``_prop_decide`` is fixed by the type, and every threshold, mu_r included,
+    is chi(w) for one map chi (phi, or phi then the reflection) that is
+    monotone in a direction fixed by the game.  ``_prop_decide`` branches on
+    kinds and on comparisons between two such thresholds; each has the outcome
+    of the comparison between their crossings, read in chi's direction, so the
+    branch is fixed by the type.  It returns None, (0, 1) or (chi(w), 1) for
+    one crossing w fixed by the type.  Undoing the reflection and mapping back
+    by q -> m0 + q (m1 - m0) sends {0, 1} to {m0, m1} and chi(w) to w exactly.
+    The remaining tests compare two delivered means, or one with 1/2: m0 or m1
+    against a crossing or 1/2 is a sign of the type, and two crossings, or a
+    crossing and 1/2, compare the same way in every pair.  The receiver's
+    action at a mean d is the sign of its gain at d, which is the sign of
+    d - w_r times its slope, or the tie rule at w_r when d = w_r; fixed by the
+    type, and so is the silence test on the two actions.  QED
+
+    So each order type calls ``_respond_to_means`` on its first pair only and
+    keeps the delivered means as positions among (m0, m1, crossings...); a
+    delivered mean outside these raises ``ChainError``, so the claim is
+    checked, not assumed.  Every other pair rebuilds its two cells from those
+    positions, and player 1's value is computed once per pair of delivered
+    means.
+    """
     if not isinstance(h.prior, UniformPrior):
         raise ChainError("exhaustive mean search needs the uniform prior")
     if resolution < 10:
         raise ResolutionTooCoarse(f"need at least 10 grid steps, got {resolution}")
     u1 = h.senders[0].utility
-    step = Fraction(1, resolution)
-    half_steps = resolution // 2
+    act = action_rule(h)
+    crossings = tuple(a.utility.crossing for a in (*h.senders[1:], h.receiver))
+    # the lattice means k/G, then the crossings: every delivered mean is one
+    means = [Fraction(k, resolution) for k in range(resolution + 1)] + list(crossings)
+    acts = [act(m) for m in means]
+    places = [tuple((m > w) - (m < w) for w in (*crossings, HALF))
+              for m in means[:resolution + 1]]
+    at_crossings = tuple(range(resolution + 1, len(means)))
+    # silence is worth the same after every pair: what (1/2, 1/2) is worth
+    silent = _means_value(u1, _respond_to_means(h, HALF, HALF))
+    answers: dict[tuple, Optional[tuple[int, int]]] = {}
+    values: dict[tuple[int, int], Fraction] = {}
 
     best: Optional[Fraction] = None
     arg: dict[tuple[Fraction, Fraction], None] = {}
-    for k0 in range(half_steps + 1):
-        m0 = k0 * step
-        for k1 in range(half_steps, min(half_steps + k0, resolution) + 1):
-            m1 = k1 * step
-            if m1 - m0 > HALF or m1 < HALF:
-                continue
-            cells = _respond_to_means(h, m0, m1)
-            v = _means_value(u1, cells)
-            if len(cells) == 1:
-                key = (HALF, HALF)
+    for k0 in range(resolution // 2 + 1):
+        # m1 >= 1/2 and m1 - m0 <= 1/2
+        for k1 in range(-(-resolution // 2), min(resolution // 2 + k0, resolution) + 1):
+            order = (places[k0], places[k1])
+            if order not in answers:
+                m0, m1 = means[k0], means[k1]
+                answers[order] = _delivered(_respond_to_means(h, m0, m1), (m0, m1, *crossings))
+            delivered = answers[order]
+            if delivered is None:
+                v, key = silent, (HALF, HALF)
             else:
-                key = (cells[0][0], cells[1][0])
+                slots = (k0, k1, *at_crossings)
+                ends = slots[delivered[0]], slots[delivered[1]]
+                d0, d1 = key = means[ends[0]], means[ends[1]]
+                if ends not in values:
+                    values[ends] = _means_value(u1, [
+                        (d0, (d1 - HALF) / (d1 - d0), acts[ends[0]]),
+                        (d1, (HALF - d0) / (d1 - d0), acts[ends[1]]),
+                    ])
+                v = values[ends]
             if best is None or v > best:
                 best, arg = v, {key: None}
             elif v == best:
@@ -626,6 +706,8 @@ class McReport:
 
 
 def _propagate(rng, signals: np.ndarray, matrix: Experiment) -> np.ndarray:
+    import numpy as np
+
     to_one = np.array([float(row[1]) for row in matrix.rows])
     return (rng.random(signals.shape[0]) < to_one[signals]).astype(np.int8)
 
@@ -639,6 +721,8 @@ def monte_carlo(
     """Simulate the chain: draw states, push signals through the experiment
     profile, apply the receiver's threshold behavior, and average realized
     utilities per agent (with standard errors)."""
+    import numpy as np
+
     if seed is None:
         raise SeedRequired("pass an integer seed; runs must be reproducible")
     if len(experiments) != h.n:

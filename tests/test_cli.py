@@ -127,6 +127,20 @@ class TestIngest:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and len(captured.err) < 300
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe" + '{"prior": {"kind": "uniform"}}'.encode("utf-16-le"),
+        b"[" * 10_000 + b"]" * 10_000,
+    ], ids=["not_utf8", "deep_nesting"])
+    def test_unreadable_documents_exit_one(self, capsys, tmp_path, content):
+        path = tmp_path / "odd.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError):
+            ingest(path)
+        assert main(["solve", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err) < 300
+
     @pytest.mark.parametrize("fixture", ["binary_ordering", "binary_partial",
                                          "uniform_interior", "uniform_silent"])
     def test_documents_round_trip(self, fixture):
@@ -395,6 +409,24 @@ def run_python(*args, **kwargs) -> subprocess.CompletedProcess:
                           timeout=120, **kwargs)
 
 
+def modules_loaded(args: list[str], package: str) -> str:
+    """The modules of `package` loaded by a fresh ``python -m infochain.cli``
+    run of `args`, printed as a sorted list; the command must exit 0."""
+    probe = (
+        "import runpy, sys\n"
+        f"sys.argv = ['infochain', *{args!r}]\n"
+        "try:\n"
+        "    runpy.run_module('infochain.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as e:\n"
+        "    assert e.code == 0, e.code\n"
+        f"print(sorted(m for m in sys.modules if m.partition('.')[0] == {package!r}), "
+        "file=sys.stderr)\n"
+    )
+    proc = run_python("-c", probe, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.splitlines()[-1]
+
+
 class TestProcess:
     def test_broken_pipe_keeps_the_command_status(self, capsys, monkeypatch, tmp_path):
         from infochain import cli
@@ -425,16 +457,15 @@ class TestProcess:
     def test_commands_run_without_scipy(self, args):
         # scipy is a test-only dependency: ``python -m infochain.cli`` must
         # never load it
-        probe = (
-            "import runpy, sys\n"
-            f"sys.argv = ['infochain', *{args!r}]\n"
-            "try:\n"
-            "    runpy.run_module('infochain.cli', run_name='__main__', alter_sys=True)\n"
-            "except SystemExit as e:\n"
-            "    assert e.code == 0, e.code\n"
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'), "
-            "file=sys.stderr)\n"
-        )
-        proc = run_python("-c", probe, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == "[]"
+        assert modules_loaded(args, "scipy") == "[]"
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--config", str(INTERIOR)],
+        ["classify", "--config", str(PARTIAL)],
+        ["vp", "--config", str(ORDERING)],
+        ["curve", "--config", str(INTERIOR)],
+    ])
+    def test_commands_run_without_numpy(self, args):
+        # only Monte Carlo needs numpy, and importing it is a large share of
+        # a CLI start
+        assert modules_loaded(args, "numpy") == "[]"

@@ -11,10 +11,14 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from infochain import (
+    AgentSpec,
     BinaryOutcome,
     BinaryPrior,
+    ChainError,
     IntervalCut,
     OutcomeGrid,
     ResolutionTooCoarse,
@@ -286,6 +290,60 @@ class TestUniformGrid:
         with pytest.raises(ResolutionTooCoarse):
             solve_general_grid(h, 4)
 
+    @staticmethod
+    def per_pair_search(h, resolution):
+        """The search by its definition: every lattice pair m0 <= 1/2 <= m1
+        with m1 - m0 <= 1/2 answered by its own subgame, then the argmax
+        supports that lie inside no other."""
+        half = F(1, 2)
+        means = [F(k, resolution) for k in range(resolution + 1)]
+        values = {}
+        for m0 in means:
+            for m1 in means:
+                if m0 <= half <= m1 and m1 - m0 <= half:
+                    cells = oracle._respond_to_means(h, m0, m1)
+                    key = (half, half) if len(cells) == 1 else (cells[0][0], cells[1][0])
+                    values[key] = oracle._means_value(h.senders[0].utility, cells)
+        best = max(values.values())
+        arg = [key for key, v in values.items() if v == best]
+        return sorted(key for key in arg
+                      if not any(o != key and o[0] <= key[0] and key[1] <= o[1] for o in arg))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_the_per_pair_search(self, data):
+        # crossings in thirds and sevenths fall between lattice means, those
+        # in G-ths or 2G-ths on or halfway between them; some fall outside
+        # [0, 1] (extremists), and some repeat (a relaxed chain)
+        resolution = data.draw(st.integers(10, 27), label="G")
+        dens = st.sampled_from([3, 6, 7, 14, 21, resolution, 2 * resolution])
+
+        def crossing(label):
+            den = data.draw(dens, label=f"{label} denominator")
+            c = F(data.draw(st.integers(-den // 3, den + den // 3), label=label), den)
+            assume(c not in (0, F(1, 2), 1))
+            return c
+
+        def agent(label, slope):
+            return AgentSpec(linear_utility(slope, -slope * crossing(label)))
+
+        senders = [agent(f"sender {k}", data.draw(st.sampled_from([1, 1, -1])))
+                   for k in range(data.draw(st.integers(1, 4), label="n"))]
+        receiver = agent("receiver", data.draw(st.sampled_from([1, -1])))
+        h = hierarchy(senders, receiver, UNIFORM, strict=False)
+        assert solve_general_grid(h, resolution) == self.per_pair_search(h, resolution)
+
+    def test_off_breakpoint_answer_is_refused(self, monkeypatch):
+        # every delivered mean must be m0, m1 or a crossing; an answer off
+        # them would not carry over to the other pairs of its order type
+        h = hierarchy([linear_utility(1, F(-1, 5)), linear_utility(1, F(-2, 5))],
+                      linear_utility(1, F(-3, 10)), UNIFORM)
+        monkeypatch.setattr(oracle, "_respond_to_means", lambda h, m0, m1: [
+            (m0 + F(1, 997), F(1, 2), 1), (m1, F(1, 2), 1),
+        ])
+        with pytest.raises(ChainError, match="not among"):
+            solve_general_grid(h, 20)
+
 
 class TestVerifySimple:
     def test_full_information_all_conformists(self, grid20):
@@ -401,6 +459,17 @@ class TestVerifySimple:
         assert verify_simple_equilibrium(h, make_outcome(F(1, 4), 1, F(3, 5)))
         forged = BinaryOutcome(F(1, 4), F(1), F(3, 5), F(1, 2), F(1, 2))
         assert not verify_simple_equilibrium(h, forged)
+
+    def test_weights_no_experiment_has_are_refused(self):
+        # the second seed-1001 acceptance game; full information with weights
+        # (1/2, 1/2) would need pi(high | state 1) = 50/39
+        p = F(39, 100)
+        h = hierarchy(
+            [zero_extremist_table(), zero_extremist_table(), conformist_table(F(13, 20))],
+            contrarian_table(F(7, 10)), BinaryPrior(p),
+        )
+        forged = BinaryOutcome(F(0), F(1), p, F(1, 2), F(1, 2))
+        assert verify_simple_equilibrium(h, forged, 20) is False
 
     def test_uniform_equilibrium_passes(self):
         h = hierarchy(
