@@ -7,13 +7,15 @@ independent route:
 * a discretized outcome grid, held as its two coordinate axes, and the chain
   of incentive-compatibility level sets (which outcomes each intermediary
   would pass along, given what later intermediaries will pass), computed on
-  cell indices (i, j) into those axes with one value table per seat,
+  cell indices (i, j) into those axes with one integer value table per seat,
 * grid subgame-perfect equilibrium for the binary game,
 * exhaustive mean-pair search for the uniform-state game,
 * a pass-through (simple-equilibrium) check, read off the same level sets, and
 * seeded Monte-Carlo signal propagation.
 
-Values are exact rationals end to end; only Monte Carlo uses floats.
+Values are exact: a value table holds exact integer multiples of the
+rational values (one positive scale per table, see `_value_table`), and
+everything else is an exact rational.  Only Monte Carlo uses floats.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
 from .core import (
@@ -195,25 +198,68 @@ def outcome_value(u: TableUtility, out: BinaryOutcome, act: Callable[[Fraction],
     return total
 
 
+def _receiver_actions(h: HierarchySpec, grid: OutcomeGrid) -> tuple[list[int], list[int]]:
+    """The receiver's action at each ``q0s`` and at each ``q1s`` coordinate,
+    each decided once per chain."""
+    act = action_rule(h)
+    return [act(q) for q in grid.q0s], [act(q) for q in grid.q1s]
+
+
 def _value_table(
-    u: TableUtility, act: Callable[[Fraction], int], grid: OutcomeGrid
-) -> list[list[Fraction]]:
-    """`outcome_value` of every cell, with each posterior's payoff computed
-    once (a grid has ~2R posteriors against R^2/4 cells)."""
+    u: TableUtility, actions: tuple[list[int], list[int]], grid: OutcomeGrid
+) -> list[list[int]]:
+    """c * `outcome_value` of every cell, as exact integers, for one constant
+    c > 0 per table; ``actions`` is `_receiver_actions` of the grid.
+
+    Cell (i, j) is worth (above * low + below * high) / w, where below = p - q0,
+    above = q1 - p, w = below + above and low, high are the payoffs at q0 and
+    q1 (the concavification chord).  The offsets and payoffs are brought to
+    one common denominator d = C * U and held as ints, where C clears p and
+    every coordinate and U the four entries of u's table: payoff(q, a) * d =
+    u(0, a) * U * C + (q * C) * (u(1, a) - u(0, a)) * U, so no payoff is built
+    as a `Fraction`.  With L the lcm of the widths w that occur, in those
+    units, the cell is (above * low + below * high) * (L // w) = d * L *
+    value, and a silent cell is payoff(p) * d * L.  Every reader compares
+    entries of one table only, so the scale never shows.
+
+    On `build_grid`'s lattices every informative cell has lattice endpoints,
+    so its width is k/G (cells with p as a coordinate are silent) and L is at
+    most (d/G) * lcm(1..G).  lcm(1..G) has 136 bits at G = 100 and 1438 bits
+    at the CLI's ``MAX_GRID`` = 1000; on games with hundredths for payoffs
+    and prior, L reaches about 144 and 1443 bits.  Axes with other
+    coordinates (breakpoint grids) must re-check this bound.
+    """
     p = grid.prior.p
+    lows, highs = actions
+    q0s, q1s = grid.q0s[:-1], grid.q1s[1:]
+    clear = lcm(p.denominator, *(q.denominator for q in (*q0s, *q1s)))
+    unit = lcm(*(u.value(s, a).denominator for s in (0, 1) for a in (0, 1)))
 
-    def payoff(q: Fraction) -> Fraction:
-        a = act(q)
-        return q * u.value(1, a) + (1 - q) * u.value(0, a)
+    def times(x: Fraction, m: int) -> int:
+        """x * m, for an m that x's denominator divides."""
+        return x.numerator * (m // x.denominator)
 
-    silent = payoff(p)
-    highs = [(q1 - p, payoff(q1)) for q1 in grid.q1s[1:]]
-    table = []
-    for q0 in grid.q0s[:-1]:
-        below, low = p - q0, payoff(q0)
-        table.append(
-            [silent] + [(above * low + below * high) / (above + below) for above, high in highs]
-        )
+    base = [times(u.value(0, a), unit) * clear for a in (0, 1)]
+    slope = [times(u.value(1, a) - u.value(0, a), unit) for a in (0, 1)]
+
+    def payoff(q: Fraction, a: int) -> int:
+        return base[a] + times(q, clear) * slope[a]
+
+    at_p = times(p, clear)
+    belows = [(at_p - times(q0, clear)) * unit for q0 in q0s]
+    aboves = [(times(q1, clear) - at_p) * unit for q1 in q1s]
+    low_pay = [payoff(q0, a) for q0, a in zip(q0s, lows)]
+    high_pay = [payoff(q1, a) for q1, a in zip(q1s, highs[1:])]
+    silent = payoff(p, lows[-1])
+    widths = {below + above for below in belows for above in aboves}
+    span = lcm(*widths)
+    scale = {w: span // w for w in widths}
+    silent *= span
+    table = [
+        [silent] + [(above * low + below * high) * scale[below + above]
+                    for above, high in zip(aboves, high_pay)]
+        for below, low in zip(belows, low_pay)
+    ]
     table.append([silent] * len(grid.q1s))
     return table
 
@@ -252,13 +298,13 @@ class IcChain:
         return self._outcomes(self.proof_mask)
 
 
-def _cone_max(table: list[list[Optional[Fraction]]]) -> list[list[Optional[Fraction]]]:
+def _cone_max(table: list[list[Optional[int]]]) -> list[list[Optional[int]]]:
     """M[i][j] = largest non-None entry over the contraction cone of cell
     (i, j): cells with weakly higher q0 index and weakly lower q1 index."""
-    below: list[Optional[Fraction]] = [None] * len(table[0])
+    below: list[Optional[int]] = [None] * len(table[0])
     m: list = [None] * len(table)
     for i in range(len(table) - 1, -1, -1):
-        best: Optional[Fraction] = None
+        best: Optional[int] = None
         row = []
         for v, down in zip(table[i], below):
             for c in (v, down):
@@ -271,7 +317,7 @@ def _cone_max(table: list[list[Optional[Fraction]]]) -> list[list[Optional[Fract
 
 def _level_sets(
     h: HierarchySpec, grid: OutcomeGrid, first_seat: int
-) -> Iterator[tuple[int, list[list[Fraction]], list[list[bool]]]]:
+) -> Iterator[tuple[int, list[list[int]], list[list[bool]]]]:
     """The level-set recursion, seat n down to first_seat: yields each seat,
     its value table and the member mask of its level.  A cell stays in level k
     when it is in level k+1 and seat k values it at least as much as every
@@ -279,10 +325,10 @@ def _level_sets(
     seats = range(h.n, first_seat - 1, -1)
     if not seats:
         return  # a chain without senders has no tie rule to build
-    act = action_rule(h)
+    actions = _receiver_actions(h, grid)
     member = [[True] * len(grid.q1s) for _ in grid.q0s]
     for idx in seats:
-        table = _value_table(h.senders[idx - 1].utility, act, grid)
+        table = _value_table(h.senders[idx - 1].utility, actions, grid)
         ceiling = _cone_max(
             [[v if m else None for v, m in zip(*rows)] for rows in zip(table, member)]
         )
@@ -326,12 +372,11 @@ def solve_spe_grid(
         cells = [(i, j) for i, j in cells if member[i][j]]
     if not cells:
         raise EmptyLevelSet("no passable outcome for player 1")
-    act = action_rule(h)
-    value = _value_table(h.senders[0].utility, act, grid)
+    low, high = actions = _receiver_actions(h, grid)
+    value = _value_table(h.senders[0].utility, actions, grid)
     best = max(value[i][j] for i, j in cells)
     # cells the receiver answers with one constant action are informative in
     # name only; report them as the silent corner they are worth
-    low, high = [act(q) for q in grid.q0s], [act(q) for q in grid.q1s]
     silent = (len(grid.q0s) - 1, 0)
     arg = [silent if low[i] == high[j] == low[-1] else (i, j)
            for i, j in cells if value[i][j] == best]
@@ -420,10 +465,13 @@ def verify_simple_equilibrium(
     grid best responses downstream.
 
     ``eq`` may be a solver report (anything with .outcome or .support) or a
-    raw outcome.  For uniform-state hierarchies pass a grid resolution (int);
-    the scan runs in the induced subgame.
+    raw outcome.  ``grid`` is a grid or a resolution, 100 when omitted.  For
+    uniform-state hierarchies pass a grid resolution (int); the scan runs in
+    the induced subgame.
     """
     outcome = getattr(eq, "outcome", eq)
+    if grid is None:
+        grid = 100
     if h.is_binary:
         if isinstance(outcome, BinaryOutcome):
             pass
@@ -431,8 +479,8 @@ def verify_simple_equilibrium(
             support = tuple(as_ratio(x) for x in outcome)
             lo, hi = (support[0], support[-1])
             outcome = make_outcome(lo, hi, h.prior)
-        if grid is None or isinstance(grid, int):
-            grid = build_grid(h.prior, grid or 100)
+        if isinstance(grid, int):
+            grid = build_grid(h.prior, grid)
         return _verify_binary_pass_through(h, outcome, grid)
 
     # uniform-state game: outcome is a pair of means (or a degenerate mean)
@@ -448,7 +496,7 @@ def verify_simple_equilibrium(
     if not (m0 < HALF < m1):
         return False
     sub = _uniform_subgame_tables(h, m0, m1)
-    resolution = grid if isinstance(grid, int) else (grid.resolution if grid else 100)
+    resolution = grid if isinstance(grid, int) else grid.resolution
     sub_grid = build_grid(sub.prior, resolution)
     # full information is cell (0, 1); scan every intermediary of the original
     # chain (all senders of the stand-in); the cut itself is always realizable

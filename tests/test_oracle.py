@@ -4,6 +4,7 @@ the engine once and hand-checking the mechanics (set shapes, exclusion of
 non-credible garbles, collapse of receiver-constant outcomes)."""
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import fields
 from functools import cache
@@ -47,7 +48,7 @@ from infochain import (
     zero_extremist_table,
 )
 from infochain import oracle
-from infochain.cli import ingest
+from infochain.cli import ingest, main
 from infochain.oracle import action_rule, outcome_value
 
 P = BinaryPrior(F(3, 5))
@@ -233,6 +234,98 @@ class TestOutcomesOnlyAtTheBoundary:
         assert made == []
         spe = solve_spe_grid(h, grid20, chain)
         assert 1 <= len(made) <= len(spe)
+
+    @pytest.mark.parametrize("config", ["binary_ordering.json", "binary_partial.json"])
+    @pytest.mark.parametrize("resolution", [20, 100])
+    def test_oracle_command_counts_the_masks(self, monkeypatch, capsys, config, resolution):
+        # `infochain oracle` reports level and garble-proof sizes by counting
+        # masks, building outcomes only for the equilibria it prints
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return make_outcome(*args)
+
+        monkeypatch.setattr(oracle, "make_outcome", counted)
+        code = main(["oracle", "--config", str(CONFIGS / config), "--grid", str(resolution)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert 1 <= len(made) <= len(doc["spe"])
+        monkeypatch.undo()
+        h = ingest(CONFIGS / config)
+        chain = ic_chain(h, build_grid(h.prior, resolution))
+        assert doc["pass_levels"] == {str(k): len(v) for k, v in sorted(chain.levels.items())}
+        assert doc["garble_proof_size"] == len(chain.garble_proof)
+
+
+class TestIntegerTables:
+    """`_value_table` holds exact ints, c * `outcome_value` for one c > 0."""
+
+    @staticmethod
+    def assert_scaled(h, grid):
+        act = action_rule(h)
+        actions = oracle._receiver_actions(h, grid)
+        for seat in h.senders:
+            table = oracle._value_table(seat.utility, actions, grid)
+            assert [len(row) for row in table] == [len(grid.q1s)] * len(grid.q0s)
+            assert all(type(v) is int for row in table for v in row)
+            pairs = [
+                (v, outcome_value(seat.utility, make_outcome(q0, q1, grid.prior), act))
+                for row, q0 in zip(table, grid.q0s) for v, q1 in zip(row, grid.q1s)
+            ]
+            scales = {F(v) / ref for v, ref in pairs if ref}
+            assert len(scales) <= 1 and all(c > 0 for c in scales), (h, grid.resolution)
+            assert all(v == 0 for v, ref in pairs if not ref)
+
+    @pytest.mark.parametrize("p", [F(1, 3), F(2, 7), F(77, 100)])
+    @pytest.mark.parametrize("resolution", [10, 17, 37])
+    def test_seeded_chains(self, p, resolution):
+        rng = random.Random(resolution * 1000 + p.denominator)
+        kinds = [conformist_table, contrarian_table, zero_extremist_table, one_extremist_table]
+        for n in [1, 2, 3, 4]:
+            pool = [F(k, 100) for k in range(1, 100) if F(k, 100) != p]
+            rng.shuffle(pool)
+            senders = []
+            for _ in range(n):
+                kind = rng.choice(kinds)
+                senders.append(kind(pool.pop()) if kind in kinds[:2] else kind())
+            h = hierarchy(senders, rng.choice(kinds[:2])(pool.pop()), BinaryPrior(p))
+            self.assert_scaled(h, build_grid(h.prior, resolution))
+
+    @pytest.mark.parametrize("resolution", [10, 17, 37, 100])
+    def test_uniform_stand_in_off_the_lattice(self, resolution):
+        h = hierarchy(
+            [linear_utility(1, F(-8, 25)), linear_utility(-1, F(1, 5)), linear_utility(1, F(-29, 50))],
+            linear_utility(1, F(-3, 10)), UNIFORM,
+        )
+        sub = oracle._uniform_subgame_tables(h, F(1, 5), F(6, 7))
+        assert sub.prior.p == F(21, 46)
+        grid = build_grid(sub.prior, resolution)
+        assert len(grid.q0s) + len(grid.q1s) == resolution + 3  # p is off the lattice
+        self.assert_scaled(sub, grid)
+
+    def test_ties_on_lattice_points(self, grid20):
+        # every threshold is a coordinate, and three seats share one
+        h = hierarchy(
+            [conformist_table(F(2, 5)), conformist_table(F(2, 5)), contrarian_table(F(1, 5)),
+             conformist_table(F(2, 5))],
+            conformist_table(F(2, 5)), P, strict=False,
+        )
+        self.assert_scaled(h, grid20)
+        table = oracle._value_table(h.senders[0].utility, oracle._receiver_actions(h, grid20), grid20)
+        assert len({v for row in table for v in row}) < len(grid20.cells()) // 2
+
+    @pytest.mark.parametrize("last, tie", [(conformist_table(F(1, 5)), 1),
+                                           (contrarian_table(F(1, 10)), 0)],
+                             ids=["tie_to_one", "tie_to_zero"])
+    def test_tie_rule_fires(self, grid20, last, tie):
+        # the receiver is indifferent at the coordinate 3/10, where the last
+        # sender's preference decides her action
+        h = hierarchy([conformist_table(F(7, 20)), last], conformist_table(F(3, 10)), P)
+        assert F(3, 10) in grid20.q0s
+        assert h.receiver.utility.gain_of_action1(F(3, 10)) == 0
+        assert action_rule(h)(F(3, 10)) == oracle.tie_rule(h)(F(3, 10)) == tie
+        self.assert_scaled(h, grid20)
 
 
 class TestBlackwellFilter:
@@ -477,6 +570,18 @@ class TestVerifySimple:
             linear_utility(1, F(-3, 10)), UNIFORM,
         )
         assert verify_simple_equilibrium(h, (F(4, 25), F(33, 50)), 100)
+
+    def test_zero_resolution_is_too_coarse(self, chain):
+        # 0 is a resolution like any other, not a request for the default
+        h, _ = chain
+        with pytest.raises(ResolutionTooCoarse):
+            verify_simple_equilibrium(h, make_outcome(F(1, 5), 1, P), 0)
+        uniform = hierarchy(
+            [linear_utility(1, F(-8, 25)), linear_utility(1, F(-1, 5)), linear_utility(1, F(-29, 50))],
+            linear_utility(1, F(-3, 10)), UNIFORM,
+        )
+        with pytest.raises(ResolutionTooCoarse):
+            verify_simple_equilibrium(uniform, (F(4, 25), F(33, 50)), 0)
 
     def test_uniform_injected_wide_pair_fails(self):
         h = hierarchy(
