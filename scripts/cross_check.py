@@ -9,8 +9,16 @@ the closed support.  Any disagreement or rejection is printed with the full
 hierarchy and both answers, and the exit code is nonzero so the script can
 gate a long soak run.
 
+With ``--digest`` nothing is compared: the script prints the oracle's answers,
+one line per drawn game and no timings (for a binary game the grid SPE
+supports and the pass-through verdict on the closed-form support, for a
+uniform game the pair search's supports, games outside the closed forms'
+region included), so that the output of two versions of the package can be
+diffed.
+
 Example:
     python3 scripts/cross_check.py --mode both --games 50 --seed 7
+    python3 scripts/cross_check.py --digest --mode uniform --games 286 --seed 3003
 """
 from __future__ import annotations
 
@@ -124,6 +132,27 @@ def check_uniform(games: int, seed: int, resolution: int) -> int:
     return failures
 
 
+def show(pairs) -> str:
+    return "[" + ", ".join("(" + ", ".join(map(str, pair)) + ")" for pair in pairs) + "]"
+
+
+def digest_binary(games: int, seed: int, resolution: int) -> None:
+    rng = random.Random(seed)
+    for i in range(games):
+        h = random_binary_game(rng)
+        grid = build_grid(h.prior, resolution)
+        supports = [o.support() for o in solve_spe_grid(h, grid)]
+        verdict = verify_simple_equilibrium(h, solve_binary(h), grid)
+        print(f"binary {i}: spe {show(supports)} verified {verdict}")
+
+
+def digest_uniform(games: int, seed: int, resolution: int) -> None:
+    rng = random.Random(seed)
+    for i in range(games):
+        h = random_uniform_game(rng)
+        print(f"uniform {i}: pairs {show(solve_general_grid(h, resolution))}")
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--mode", choices=("binary", "uniform", "both"), default="both")
@@ -133,18 +162,29 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--binary-grid", type=int, default=100,
                     help="belief grid resolution for the binary oracle; must be a "
                          "multiple of 100 so the sampled thresholds lie on the grid "
-                         "and the support comparison stays exact (default 100)")
+                         "and the support comparison stays exact; any resolution "
+                         "with --digest (default 100)")
     ap.add_argument("--uniform-grid", type=int, default=200,
                     help="mean grid resolution for the uniform oracle (default 200)")
+    ap.add_argument("--digest", action="store_true",
+                    help="print the oracle's answers per drawn game instead of "
+                         "checking them, with no timings")
     args = ap.parse_args(argv)
-    if args.mode in ("binary", "both") and args.binary_grid % 100:
+    binary, uniform = args.mode in ("binary", "both"), args.mode in ("uniform", "both")
+    if args.digest:
+        if binary:
+            digest_binary(args.games, args.seed, args.binary_grid)
+        if uniform:
+            digest_uniform(args.games, args.seed, args.uniform_grid)
+        return 0
+    if binary and args.binary_grid % 100:
         ap.error("--binary-grid must be a multiple of 100")
 
     failures = 0
     start = time.perf_counter()
-    if args.mode in ("binary", "both"):
+    if binary:
         failures += check_binary(args.games, args.seed, args.binary_grid)
-    if args.mode in ("uniform", "both"):
+    if uniform:
         failures += check_uniform(args.games, args.seed, args.uniform_grid)
     elapsed = time.perf_counter() - start
     verdict = "OK" if failures == 0 else f"{failures} MISMATCHES"

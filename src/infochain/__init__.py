@@ -100,7 +100,6 @@ from .oracle import (
     SeedRequired,
     blackwell_maximal,
     build_grid,
-    grid_pairs,
     ic_chain,
     monte_carlo,
     outcome_value,

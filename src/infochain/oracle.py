@@ -13,9 +13,10 @@ independent route:
 * a pass-through (simple-equilibrium) check, read off the same level sets, and
 * seeded Monte-Carlo signal propagation.
 
-Values are exact: a value table holds exact integer multiples of the
-rational values (one positive scale per table, see `_value_table`), and
-everything else is an exact rational.  Only Monte Carlo uses floats.
+Values are exact: a value table, and the pair search's candidates, hold
+exact integer multiples of the rational values (one positive scale per table
+or search, see `_value_table` and `solve_general_grid`), and everything else
+is an exact rational.  Only Monte Carlo uses floats.
 """
 from __future__ import annotations
 
@@ -48,6 +49,7 @@ from .agents import (
     Kind,
     LinearUtility,
     TableUtility,
+    Utility,
     classify_linear,
     reclassify_under_support,
 )
@@ -84,13 +86,6 @@ def _axes(p: Fraction, resolution: int) -> tuple[tuple[Fraction, ...], tuple[Fra
     if q1s[0] != p:
         q1s.insert(0, p)
     return tuple(q0s), tuple(q1s)
-
-
-def grid_pairs(p: Fraction, resolution: int) -> list[tuple[Fraction, Fraction]]:
-    """All coordinate pairs (q0, q1) with q0 <= p <= q1 on the 1/G lattice,
-    with p itself inserted as a coordinate when it is off-lattice."""
-    q0s, q1s = _axes(as_ratio(p), resolution)
-    return [(a, b) for a in q0s for b in q1s]
 
 
 Cell = tuple[int, int]
@@ -150,16 +145,31 @@ def build_grid(prior: BinaryPrior, resolution: int) -> OutcomeGrid:
 # receiver behavior and raw outcome values
 # ---------------------------------------------------------------------------
 
+def _gain_sign(u: Utility) -> Callable[[Fraction], int]:
+    """The sign of u's gain from action 1 at a posterior or mean q, decided on
+    integers.  Both utility types have the gain a + b * q, with a = gain(0)
+    and b = gain(1) - a; at q = n/d (d > 0) it has the sign of
+    an * d + bn * n, where an = a.num * b.den and bn = b.num * a.den."""
+    a = u.gain_of_action1(Fraction(0))
+    b = u.gain_of_action1(Fraction(1)) - a
+    an, bn = a.numerator * b.denominator, b.numerator * a.denominator
+
+    def sign(q: Fraction) -> int:
+        g = an * q.denominator + bn * q.numerator
+        return (g > 0) - (g < 0)
+
+    return sign
+
+
 def tie_rule(h: HierarchySpec) -> Callable[[Fraction], int]:
     """Action the receiver takes when exactly indifferent: the last sender's
     preferred action there (falling back to 0 if that sender is indifferent
     too, which is the information-preserving direction in the canonical
     frame)."""
-    last = h.senders[-1].utility
+    sign = _gain_sign(h.senders[-1].utility)
 
     def tie(q: Fraction) -> int:
-        g = last.gain_of_action1(q)
-        return 1 if g > 0 else 0
+        return 1 if sign(q) > 0 else 0
 
     return tie
 
@@ -167,15 +177,13 @@ def tie_rule(h: HierarchySpec) -> Callable[[Fraction], int]:
 def action_rule(h: HierarchySpec) -> Callable[[Fraction], int]:
     """Receiver's action as a function of the posterior (binary game) or the
     posterior mean (uniform game), ties resolved by `tie_rule`."""
-    ru = h.receiver.utility
+    sign = _gain_sign(h.receiver.utility)
     tie = tie_rule(h)
 
     def act(q: Fraction) -> int:
-        g = ru.gain_of_action1(q)
-        if g > 0:
-            return 1
-        if g < 0:
-            return 0
+        s = sign(q)
+        if s:
+            return 1 if s > 0 else 0
         return tie(q)
 
     return act
@@ -612,6 +620,8 @@ def _respond_to_means(
 
 
 def _means_value(u: LinearUtility, cells: list[tuple[Fraction, Fraction, int]]) -> Fraction:
+    """A sender's value of a `_respond_to_means` answer, as a `Fraction`: the
+    reference for the integer values of `solve_general_grid`."""
     return sum((w * u.gain_of_action1(m) for m, w, a in cells if a == 1), Fraction(0))
 
 
@@ -668,59 +678,92 @@ def solve_general_grid(h: HierarchySpec, resolution: int) -> list[tuple[Fraction
     d - w_r times its slope, or the tie rule at w_r when d = w_r; fixed by the
     type, and so is the silence test on the two actions.  QED
 
-    So each order type calls ``_respond_to_means`` on its first pair only and
-    keeps the delivered means as positions among (m0, m1, crossings...); a
-    delivered mean outside these raises ``ChainError``, so the claim is
-    checked, not assumed.  Every other pair rebuilds its two cells from those
-    positions, and player 1's value is computed once per pair of delivered
-    means.
+    The pairs of one order type form a *block*.  The place of a lattice mean
+    k/G is its tuple of signs against every crossing and against 1/2, so the
+    order type of (k0/G, k1/G) is their two places.  Runs lemma: the means of
+    one place are a run of consecutive k.  Each sign of k/G - w only moves
+    from -1 to 0 (at k/G = w, if that is a lattice mean) to 1 as k grows, so
+    the place is nondecreasing entrywise, and a k between two means of one
+    place has that place too.  So an order type is a run R0 of k0 (all at or
+    below 1/2, since 1/2 is a mark) times a run R1 of k1 (all at or above
+    1/2), cut by the search's k1 <= k0 + G//2; the block is empty when
+    min R1 > max R0 + G//2.  By the claim, within a block the positions of
+    the two delivered means among (m0, m1, crossings...) and their actions
+    are fixed: a delivered m0 moves with k0 alone, a delivered m1 with k1
+    alone, and a delivered crossing not at all.  So player 1's value and the
+    reported support depend on k0 only if m0 is delivered, and on k1 only if
+    m1 is.  A block that delivers neither (silence included) gives one
+    candidate.  When only m0 is delivered, each feasible k0 (from
+    max(min R0, min R1 - G//2) up) pairs with min R1; when only m1 is, each
+    k1 up to max R0 + G//2 pairs with max R0, the k0 with the widest
+    feasible range.  Only a block that delivers both is visited pair by pair.
+
+    Values are exact integers compared by cross-multiplication.  With
+    C = lcm(2, G, the crossings' denominators), every mean m here is held as
+    the int X = C * m, and 1/2 as H = C/2.  Player 1's gain alpha * m + beta
+    is held as gain(X) = (A * alpha) * X + (A * beta) * C = C * A times it,
+    for A the lcm of alpha's and beta's denominators, and as 0 where the
+    receiver acts 0.  A pair delivering X0 < X1 is worth
+    ((X1 - H) * gain(X0) + (H - X0) * gain(X1)) / (X1 - X0) over C * A,
+    silence gain(H) / 1 over C * A; so num_a * den_b against num_b * den_a
+    orders two candidates exactly as their values, with no Fraction per pair
+    and no common denominator whose size would need a bound.
     """
     if not isinstance(h.prior, UniformPrior):
         raise ChainError("exhaustive mean search needs the uniform prior")
     if resolution < 10:
         raise ResolutionTooCoarse(f"need at least 10 grid steps, got {resolution}")
-    u1 = h.senders[0].utility
-    act = action_rule(h)
     crossings = tuple(a.utility.crossing for a in (*h.senders[1:], h.receiver))
-    # the lattice means k/G, then the crossings: every delivered mean is one
-    means = [Fraction(k, resolution) for k in range(resolution + 1)] + list(crossings)
-    acts = [act(m) for m in means]
-    places = [tuple((m > w) - (m < w) for w in (*crossings, HALF))
-              for m in means[:resolution + 1]]
-    at_crossings = tuple(range(resolution + 1, len(means)))
-    # silence is worth the same after every pair: what (1/2, 1/2) is worth
-    silent = _means_value(u1, _respond_to_means(h, HALF, HALF))
-    answers: dict[tuple, Optional[tuple[int, int]]] = {}
-    values: dict[tuple[int, int], Fraction] = {}
+    # every mean m below is the int scale * m
+    scale = lcm(2, resolution, *(w.denominator for w in crossings))
+    step, half, reach = scale // resolution, scale // 2, resolution // 2
+    walls = [w.numerator * (scale // w.denominator) for w in crossings]
+    places = [tuple((x > w) - (x < w) for w in (*walls, half))
+              for x in range(0, scale + 1, step)]
+    cuts = [k for k in range(1, resolution + 1) if places[k] != places[k - 1]]
+    runs = list(zip([0, *cuts], [k - 1 for k in cuts] + [resolution]))
+    alpha, beta = h.senders[0].utility.alpha, h.senders[0].utility.beta
+    unit = lcm(alpha.denominator, beta.denominator)
+    slope = alpha.numerator * (unit // alpha.denominator)
+    offset = beta.numerator * (unit // beta.denominator) * scale
 
-    best: Optional[Fraction] = None
-    arg: dict[tuple[Fraction, Fraction], None] = {}
-    for k0 in range(resolution // 2 + 1):
-        # m1 >= 1/2 and m1 - m0 <= 1/2
-        for k1 in range(-(-resolution // 2), min(resolution // 2 + k0, resolution) + 1):
-            order = (places[k0], places[k1])
-            if order not in answers:
-                m0, m1 = means[k0], means[k1]
-                answers[order] = _delivered(_respond_to_means(h, m0, m1), (m0, m1, *crossings))
-            delivered = answers[order]
-            if delivered is None:
-                v, key = silent, (HALF, HALF)
-            else:
-                slots = (k0, k1, *at_crossings)
-                ends = slots[delivered[0]], slots[delivered[1]]
-                d0, d1 = key = means[ends[0]], means[ends[1]]
-                if ends not in values:
-                    values[ends] = _means_value(u1, [
-                        (d0, (d1 - HALF) / (d1 - d0), acts[ends[0]]),
-                        (d1, (HALF - d0) / (d1 - d0), acts[ends[1]]),
-                    ])
-                v = values[ends]
-            if best is None or v > best:
-                best, arg = v, {key: None}
-            elif v == best:
-                arg[key] = None
+    def gain(x: int, a: int) -> int:
+        return slope * x + offset if a else 0
 
-    return _staircase(arg)
+    def candidates() -> Iterator[tuple[int, int, tuple[int, int]]]:
+        """(num, den, support) of player 1's candidates, block by block."""
+        for lo0, hi0 in runs:
+            if lo0 > reach:
+                break
+            for lo1, hi1 in runs:
+                if lo1 > hi0 + reach:
+                    break
+                if hi1 < resolution - reach:
+                    continue
+                first = max(lo0, lo1 - reach)
+                m0, m1 = Fraction(first, resolution), Fraction(lo1, resolution)
+                cells = _respond_to_means(h, m0, m1)
+                delivered = _delivered(cells, (m0, m1, *crossings))
+                if delivered is None:
+                    yield gain(half, cells[0][2]), 1, (half, half)
+                    continue
+                i0, i1 = delivered
+                a0, a1 = cells[0][2], cells[1][2]
+                for k0 in range(first, hi0 + 1) if 0 in delivered else (hi0,):
+                    for k1 in range(lo1, min(hi1, k0 + reach) + 1) if 1 in delivered else (lo1,):
+                        xs = (k0 * step, k1 * step, *walls)
+                        x0, x1 = xs[i0], xs[i1]
+                        num = (x1 - half) * gain(x0, a0) + (half - x0) * gain(x1, a1)
+                        yield num, x1 - x0, (x0, x1)
+
+    best: Optional[tuple[int, int]] = None
+    arg: dict[tuple[int, int], None] = {}
+    for num, den, key in candidates():
+        if best is None or num * best[1] > best[0] * den:
+            best, arg = (num, den), {key: None}
+        elif num * best[1] == best[0] * den:
+            arg[key] = None
+    return [(Fraction(x0, scale), Fraction(x1, scale)) for x0, x1 in _staircase(arg)]
 
 
 # ---------------------------------------------------------------------------

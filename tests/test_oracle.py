@@ -31,7 +31,6 @@ from infochain import (
     contrarian_table,
     experiment,
     experiment_of_outcome,
-    grid_pairs,
     hierarchy,
     ic_chain,
     identity_experiment,
@@ -78,7 +77,8 @@ def chain(grid20):
 class TestGrid:
     def test_pair_count_small(self):
         # helper enumeration at a deliberately coarse step: 4 low x 3 high
-        assert len(grid_pairs(F(3, 5), 5)) == 12
+        q0s, q1s = oracle._axes(F(3, 5), 5)
+        assert len(q0s) * len(q1s) == 12
 
     def test_minimum_resolution(self):
         with pytest.raises(ResolutionTooCoarse):
@@ -97,8 +97,9 @@ class TestGrid:
     def test_outcomes_are_the_distinct_pair_outcomes(self, p, resolution):
         prior = BinaryPrior(p)
         grid = build_grid(prior, resolution)
+        q0s, q1s = oracle._axes(p, resolution)
         want = sorted(
-            {make_outcome(a, b, prior) for a, b in grid_pairs(p, resolution)},
+            {make_outcome(a, b, prior) for a in q0s for b in q1s},
             key=lambda o: (o.q0, o.q1),
         )
         assert list(grid.outcomes) == want
@@ -328,6 +329,43 @@ class TestIntegerTables:
         self.assert_scaled(h, grid20)
 
 
+class TestActionRule:
+    """The receiver's action is the sign of her gain, decided on integers, and
+    the tie rule only where that gain is exactly 0."""
+
+    W = F(3, 10) + F(1, 7 * 10**12 + 3)  # her indifference point
+
+    @staticmethod
+    def by_definition(h, q):
+        g = h.receiver.utility.gain_of_action1(q)
+        if g:
+            return 1 if g > 0 else 0
+        return 1 if h.senders[-1].utility.gain_of_action1(q) > 0 else 0
+
+    @pytest.mark.parametrize("tie", [1, 0], ids=["tie_to_one", "tie_to_zero"])
+    @pytest.mark.parametrize("receiver", ["table_up", "table_down", "linear_up", "linear_down"])
+    def test_integer_sign_matches_the_gain(self, receiver, tie):
+        w, eps = self.W, F(1, 10**13 + 1)
+        # the last sender prefers action 1 at w exactly when tie is 1
+        last = w - eps if tie else w + eps
+        if receiver.startswith("table"):
+            table = conformist_table if receiver == "table_up" else contrarian_table
+            h = hierarchy([conformist_table(F(7, 20)), conformist_table(last)], table(w),
+                          BinaryPrior(F(3, 5)))
+        else:
+            slope = 1 if receiver == "linear_up" else -1
+            h = hierarchy([linear_utility(1, F(-7, 20)), linear_utility(1, -last)],
+                          linear_utility(slope, -slope * w), UNIFORM)
+        assert h.receiver.utility.gain_of_action1(w) == 0
+        act = action_rule(h)
+        assert act(w) == oracle.tie_rule(h)(w) == tie
+        points = [w, w - eps, w + eps, w - eps / 3, w + eps / 3, F(0), F(1), F(1, 2),
+                  last, F(3, 10), F(1, 10**14)]
+        assert all(q.denominator > 10**12 for q in points[:5])
+        assert [act(q) for q in points] == [self.by_definition(h, q) for q in points]
+        assert act(w - eps) != act(w + eps)
+
+
 class TestBlackwellFilter:
     def test_matches_the_pairwise_definition(self):
         rng = random.Random(20)
@@ -348,35 +386,38 @@ UNIFORM = UniformPrior()
 
 
 class TestUniformGrid:
-    def test_three_conformist_interior_optimum(self):
-        h = hierarchy(
+    GAMES = {
+        "three_conformists": hierarchy(
             [linear_utility(1, F(-8, 25)), linear_utility(1, F(-1, 5)), linear_utility(1, F(-29, 50))],
             linear_utility(1, F(-3, 10)), UNIFORM,
-        )
-        assert solve_general_grid(h, 100) == [(F(4, 25), F(33, 50))]
-
-    def test_contrarian_between_conformists_blocks(self):
-        h = hierarchy(
+        ),
+        "contrarian_between": hierarchy(
             [linear_utility(1, F(-1, 5)), linear_utility(-1, F(1, 10)), linear_utility(1, F(-29, 50))],
             linear_utility(1, F(-3, 10)), UNIFORM,
-        )
-        assert solve_general_grid(h, 100) == [(F(1, 2), F(1, 2))]
-
-    def test_distant_zero_biased_conformist_blocks(self):
+        ),
         # intermediary wants to match only above 0.9; pivotal threshold 0.25
-        h = hierarchy(
+        "distant_zero_biased": hierarchy(
             [linear_utility(1, F(-1, 4)), linear_utility(1, F(-9, 10))],
             linear_utility(1, F(-3, 10)), UNIFORM,
-        )
-        assert solve_general_grid(h, 100) == [(F(1, 2), F(1, 2))]
-
-    def test_zero_biased_conformist_anchors_low_cell(self):
+        ),
         # B*'s threshold 0.62 pins m0 at 0.12 (= 0.62 - 1/2 > half of 0.15)
-        h = hierarchy(
+        "anchored_low_cell": hierarchy(
             [linear_utility(1, F(-3, 20)), linear_utility(1, F(-31, 50))],
             linear_utility(1, F(-1, 4)), UNIFORM,
-        )
-        assert solve_general_grid(h, 100) == [(F(3, 25), F(31, 50))]
+        ),
+    }
+
+    def test_three_conformist_interior_optimum(self):
+        assert solve_general_grid(self.GAMES["three_conformists"], 100) == [(F(4, 25), F(33, 50))]
+
+    def test_contrarian_between_conformists_blocks(self):
+        assert solve_general_grid(self.GAMES["contrarian_between"], 100) == [(F(1, 2), F(1, 2))]
+
+    def test_distant_zero_biased_conformist_blocks(self):
+        assert solve_general_grid(self.GAMES["distant_zero_biased"], 100) == [(F(1, 2), F(1, 2))]
+
+    def test_zero_biased_conformist_anchors_low_cell(self):
+        assert solve_general_grid(self.GAMES["anchored_low_cell"], 100) == [(F(3, 25), F(31, 50))]
 
     def test_resolution_floor(self):
         h = hierarchy([linear_utility(1, F(-1, 5))], linear_utility(1, F(-3, 10)), UNIFORM)
@@ -424,6 +465,59 @@ class TestUniformGrid:
                    for k in range(data.draw(st.integers(1, 4), label="n"))]
         receiver = agent("receiver", data.draw(st.sampled_from([1, -1])))
         h = hierarchy(senders, receiver, UNIFORM, strict=False)
+        assert solve_general_grid(h, resolution) == self.per_pair_search(h, resolution)
+
+    @pytest.mark.parametrize("name", GAMES)
+    def test_fixed_games_match_the_per_pair_search_at_200(self, name):
+        h = self.GAMES[name]
+        assert solve_general_grid(h, 200) == self.per_pair_search(h, 200)
+
+    @pytest.mark.parametrize("resolution", [20, 37, 200])
+    @pytest.mark.parametrize("name", GAMES)
+    def test_each_order_type_is_asked_once(self, monkeypatch, name, resolution):
+        # the subgame is asked exactly once per order type of a feasible pair
+        h = self.GAMES[name]
+        half = F(1, 2)
+        marks = (*(a.utility.crossing for a in (*h.senders[1:], h.receiver)), half)
+
+        def order_type(m0, m1):
+            return tuple((m > w) - (m < w) for m in (m0, m1) for w in marks)
+
+        asked, respond = [], oracle._respond_to_means
+
+        def spy(h, m0, m1):
+            asked.append(order_type(m0, m1))
+            return respond(h, m0, m1)
+
+        monkeypatch.setattr(oracle, "_respond_to_means", spy)
+        solve_general_grid(h, resolution)
+        means = [F(k, resolution) for k in range(resolution + 1)]
+        every = {order_type(m0, m1) for m0 in means for m1 in means
+                 if m0 <= half <= m1 and m1 - m0 <= half}
+        assert sorted(asked) == sorted(every)
+
+    @pytest.mark.parametrize("resolution, low", [(12, F(1, 6)), (40, F(1, 8))])
+    def test_value_ties_across_whole_blocks(self, resolution, low):
+        # player 1 shares the contrarian receiver's crossing 3/5, and the
+        # seat between them, who prefers action 0 on all of [0, 1], delivers
+        # that crossing as the high mean: every such split is worth 1/10, as
+        # silence is, whatever m0
+        h = hierarchy([linear_utility(-1, F(3, 5)), linear_utility(1, F(-7, 6))],
+                      linear_utility(-1, F(3, 5)), UNIFORM, strict=False)
+        got = solve_general_grid(h, resolution)
+        assert got == self.per_pair_search(h, resolution)
+        assert got == [(low, F(3, 5))]
+
+    @pytest.mark.parametrize("resolution", [50, 51])
+    def test_crossings_with_huge_denominators(self, resolution):
+        # crossings a hair beside the 1/50 lattice means
+        tiny = F(1, 10**13 + 7)
+        h = hierarchy(
+            [linear_utility(1, F(-8, 25) - tiny), linear_utility(1, F(-1, 5) + 3 * tiny),
+             linear_utility(-1, F(29, 50) + tiny)],
+            linear_utility(1, F(-3, 10) - 2 * tiny), UNIFORM,
+        )
+        assert all(a.utility.crossing.denominator > 10**12 for a in (*h.senders, h.receiver))
         assert solve_general_grid(h, resolution) == self.per_pair_search(h, resolution)
 
     def test_off_breakpoint_answer_is_refused(self, monkeypatch):

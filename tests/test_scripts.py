@@ -26,6 +26,19 @@ def test_cross_check_agrees(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("OK (both, 3 games/mode")
 
 
+def test_cross_check_digest_repeats(monkeypatch, capsys):
+    cross_check = load(monkeypatch, "cross_check")
+    argv = ["--digest", "--mode", "both", "--games", "3", "--seed", "7",
+            "--binary-grid", "37", "--uniform-grid", "40"]
+    runs = []
+    for _ in range(2):
+        assert cross_check.main(argv) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
+    assert [line.split(":")[0] for line in runs[0].splitlines()] == [
+        f"{mode} {i}" for mode in ("binary", "uniform") for i in range(3)]
+
+
 def test_sweep_threshold_writes_one_row_per_step(monkeypatch, capsys, tmp_path):
     sweep = load(monkeypatch, "sweep_threshold")
     out = tmp_path / "sweep.csv"
