@@ -3,17 +3,18 @@
 
 Draws random hierarchies, solves each with the closed-form engine, and then
 reproduces the answer by brute force: the binary mode asks for the closed
-support among the grid equilibria and for the pass-through verifier to accept
-it, the uniform mode asks for a surviving mean pair within one grid step of
-the closed support.  Any disagreement or rejection is printed with the full
-hierarchy and both answers, and the exit code is nonzero so the script can
-gate a long soak run.
+support among the grid equilibria, the uniform mode for a surviving mean pair
+within one grid step of the closed support, and both for the pass-through
+verifier to accept the closed-form report.  Any disagreement or rejection is
+printed with the full hierarchy and both answers, and the exit code is
+nonzero so the script can gate a long soak run.
 
 With ``--digest`` nothing is compared: the script prints the oracle's answers,
 one line per drawn game and no timings (for a binary game the grid SPE
 supports and the pass-through verdict on the closed-form support, for a
 uniform game the pair search's supports, games outside the closed forms'
-region included), so that the output of two versions of the package can be
+region included, and the verdict on the closed-form report, or
+``not-covered``), so that the output of two versions of the package can be
 diffed.
 
 Example:
@@ -126,6 +127,10 @@ def check_uniform(games: int, seed: int, resolution: int) -> int:
             failures += 1
             print(f"[uniform {solved - 1}] closed support {target} not within "
                   f"{tol} of any of {pairs}\n  hierarchy: {hierarchy_doc(h)}")
+        if not verify_simple_equilibrium(h, report):
+            failures += 1
+            print(f"[uniform {solved - 1}] subgame verifier rejects closed support "
+                  f"{report.support}\n  hierarchy: {hierarchy_doc(h)}")
     if skipped:
         print(f"uniform: skipped {skipped} games outside the characterized region",
               file=sys.stderr)
@@ -150,7 +155,11 @@ def digest_uniform(games: int, seed: int, resolution: int) -> None:
     rng = random.Random(seed)
     for i in range(games):
         h = random_uniform_game(rng)
-        print(f"uniform {i}: pairs {show(solve_general_grid(h, resolution))}")
+        try:
+            verdict = verify_simple_equilibrium(h, solve_general_uniform(h))
+        except NotCovered:
+            verdict = "not-covered"
+        print(f"uniform {i}: pairs {show(solve_general_grid(h, resolution))} verified {verdict}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -9,7 +9,8 @@ independent route:
   would pass along, given what later intermediaries will pass), computed on
   cell indices (i, j) into those axes with one integer value table per seat,
 * grid subgame-perfect equilibrium for the binary game,
-* exhaustive mean-pair search for the uniform-state game,
+* exhaustive mean-pair search for the uniform-state game, each induced
+  subgame answered by the grid equilibrium of a binary stand-in chain,
 * a pass-through (simple-equilibrium) check, read off the same level sets, and
 * seeded Monte-Carlo signal propagation.
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
     HALF,
@@ -43,16 +44,7 @@ from .core import (
     mpc_feasible_uniform,
     outcome_of_experiment,
 )
-from .agents import (
-    AgentClass,
-    HierarchySpec,
-    Kind,
-    LinearUtility,
-    TableUtility,
-    Utility,
-    classify_linear,
-    reclassify_under_support,
-)
+from .agents import HierarchySpec, LinearUtility, TableUtility, Utility
 
 if TYPE_CHECKING:
     import numpy as np  # for annotations; Monte Carlo imports it when it runs
@@ -75,17 +67,17 @@ class EmptyLevelSet(ChainError):
 # outcome grid
 # ---------------------------------------------------------------------------
 
-def _axes(p: Fraction, resolution: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Lattice points at or below p and at or above p, each ascending, with p
-    itself closing the first and opening the second when it is off-lattice."""
-    step = Fraction(1, resolution)
-    q0s = [k * step for k in range(resolution + 1) if k * step <= p]
-    if q0s[-1] != p:
-        q0s.append(p)
-    q1s = [k * step for k in range(resolution + 1) if k * step >= p]
-    if q1s[0] != p:
-        q1s.insert(0, p)
-    return tuple(q0s), tuple(q1s)
+def _check_resolution(resolution: int) -> None:
+    if resolution < 10:
+        raise ResolutionTooCoarse(f"need at least 10 grid steps, got {resolution}")
+
+
+def _axes(p: Fraction, points: Iterable[Fraction]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The distinct points at or below p and at or above p, each ascending,
+    with p itself closing the first and opening the second."""
+    ordered = sorted({*points, p})
+    cut = ordered.index(p)
+    return tuple(ordered[:cut + 1]), tuple(ordered[cut:])
 
 
 Cell = tuple[int, int]
@@ -102,7 +94,6 @@ class OutcomeGrid:
     informative cells row-major, then the silent corner.
     """
 
-    resolution: int
     prior: BinaryPrior
     q0s: tuple[Fraction, ...]
     q1s: tuple[Fraction, ...]
@@ -135,10 +126,10 @@ class OutcomeGrid:
 
 
 def build_grid(prior: BinaryPrior, resolution: int) -> OutcomeGrid:
-    if resolution < 10:
-        raise ResolutionTooCoarse(f"need at least 10 grid steps, got {resolution}")
-    q0s, q1s = _axes(prior.p, resolution)
-    return OutcomeGrid(resolution=resolution, prior=prior, q0s=q0s, q1s=q1s)
+    """The grid whose axes are the lattice k/resolution and the prior."""
+    _check_resolution(resolution)
+    lattice = (Fraction(k, resolution) for k in range(resolution + 1))
+    return OutcomeGrid(prior, *_axes(prior.p, lattice))
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +138,14 @@ def build_grid(prior: BinaryPrior, resolution: int) -> OutcomeGrid:
 
 def _gain_sign(u: Utility) -> Callable[[Fraction], int]:
     """The sign of u's gain from action 1 at a posterior or mean q, decided on
-    integers.  Both utility types have the gain a + b * q, with a = gain(0)
-    and b = gain(1) - a; at q = n/d (d > 0) it has the sign of
-    an * d + bn * n, where an = a.num * b.den and bn = b.num * a.den."""
-    a = u.gain_of_action1(Fraction(0))
-    b = u.gain_of_action1(Fraction(1)) - a
+    integers.  Both utility types have the gain a + b * q, read off u's
+    fields; at q = n/d (d > 0) it has the sign of an * d + bn * n, where
+    an = a.num * b.den and bn = b.num * a.den."""
+    if isinstance(u, LinearUtility):
+        a, b = u.beta, u.alpha
+    else:
+        a = u.u01 - u.u00
+        b = u.u11 - u.u10 - a
     an, bn = a.numerator * b.denominator, b.numerator * a.denominator
 
     def sign(q: Fraction) -> int:
@@ -234,8 +228,12 @@ def _value_table(
     so its width is k/G (cells with p as a coordinate are silent) and L is at
     most (d/G) * lcm(1..G).  lcm(1..G) has 136 bits at G = 100 and 1438 bits
     at the CLI's ``MAX_GRID`` = 1000; on games with hundredths for payoffs
-    and prior, L reaches about 144 and 1443 bits.  Axes with other
-    coordinates (breakpoint grids) must re-check this bound.
+    and prior, L reaches about 144 and 1443 bits.  On a breakpoint grid
+    (`_stand_in`) of a chain with n senders each axis holds at most n + 3
+    coordinates (0, p, 1 and the n + 1 crossings), so at most (n + 2)^2
+    widths occur, each a positive integer at most d, and L <= d^((n+2)^2).
+    On the seed-3003 uniform draws at G = 200 no stand-in entry exceeds 65
+    bits.
     """
     p = grid.prior.p
     lows, highs = actions
@@ -287,12 +285,14 @@ class IcChain:
     stricter set no intermediary would garble *regardless* of what later
     players tolerate — a strict subset in general, which is exactly why the
     recursion matters.  Both are built from ``masks`` and ``proof_mask`` on
-    first access, in the grid's ``cells()`` order.
+    first access, in the grid's ``cells()`` order.  ``actions`` is
+    `_receiver_actions` of the grid, decided once per chain.
     """
 
     grid: OutcomeGrid
     masks: dict[int, list[list[bool]]]
     proof_mask: list[list[bool]]
+    actions: tuple[list[int], list[int]]
 
     def _outcomes(self, mask: list[list[bool]]) -> tuple[BinaryOutcome, ...]:
         return self.grid.outcomes_at([(i, j) for i, j in self.grid.cells() if mask[i][j]])
@@ -324,18 +324,15 @@ def _cone_max(table: list[list[Optional[int]]]) -> list[list[Optional[int]]]:
 
 
 def _level_sets(
-    h: HierarchySpec, grid: OutcomeGrid, first_seat: int
+    h: HierarchySpec, grid: OutcomeGrid, actions: tuple[list[int], list[int]], first_seat: int
 ) -> Iterator[tuple[int, list[list[int]], list[list[bool]]]]:
     """The level-set recursion, seat n down to first_seat: yields each seat,
     its value table and the member mask of its level.  A cell stays in level k
     when it is in level k+1 and seat k values it at least as much as every
-    cell of level k+1 in its contraction cone, so the masks only shrink."""
-    seats = range(h.n, first_seat - 1, -1)
-    if not seats:
-        return  # a chain without senders has no tie rule to build
-    actions = _receiver_actions(h, grid)
+    cell of level k+1 in its contraction cone, so the masks only shrink.
+    ``actions`` is `_receiver_actions` of the grid."""
     member = [[True] * len(grid.q1s) for _ in grid.q0s]
-    for idx in seats:
+    for idx in range(h.n, first_seat - 1, -1):
         table = _value_table(h.senders[idx - 1].utility, actions, grid)
         ceiling = _cone_max(
             [[v if m else None for v, m in zip(*rows)] for rows in zip(table, member)]
@@ -348,9 +345,10 @@ def _level_sets(
 
 def ic_chain(h: HierarchySpec, grid: OutcomeGrid) -> IcChain:
     """Build the level-set chain for a binary-state hierarchy on the grid."""
+    actions = _receiver_actions(h, grid)
     proof = [[True] * len(grid.q1s) for _ in grid.q0s]
     masks: dict[int, list[list[bool]]] = {}
-    for idx, table, member in _level_sets(h, grid, 2):
+    for idx, table, member in _level_sets(h, grid, actions, 2):
         # garble-proof set: no intermediary strictly prefers any contraction,
         # credible or not, over the outcome itself
         proof = [
@@ -360,7 +358,7 @@ def ic_chain(h: HierarchySpec, grid: OutcomeGrid) -> IcChain:
         if not any(map(any, member)):
             raise EmptyLevelSet(f"level {idx} is empty")
         masks[idx] = member
-    return IcChain(grid=grid, masks=masks, proof_mask=proof)
+    return IcChain(grid=grid, masks=masks, proof_mask=proof, actions=actions)
 
 
 def solve_spe_grid(
@@ -380,8 +378,8 @@ def solve_spe_grid(
         cells = [(i, j) for i, j in cells if member[i][j]]
     if not cells:
         raise EmptyLevelSet("no passable outcome for player 1")
-    low, high = actions = _receiver_actions(h, grid)
-    value = _value_table(h.senders[0].utility, actions, grid)
+    low, high = chain.actions
+    value = _value_table(h.senders[0].utility, chain.actions, grid)
     best = max(value[i][j] for i, j in cells)
     # cells the receiver answers with one constant action are informative in
     # name only; report them as the silent corner they are worth
@@ -421,8 +419,11 @@ def _passed_unchanged(h: HierarchySpec, grid: OutcomeGrid, first_seat: int, cell
     seat first_seat's value over level first_seat+1 within c's contraction
     cone, so c comes out unchanged exactly when it lies in level first_seat.
     The masks only shrink, so the scan stops at the first seat that drops c."""
+    if first_seat > h.n:
+        return True  # no seat is left to garble c, and no tie rule to build
     i, j = cell
-    return all(member[i][j] for _, _, member in _level_sets(h, grid, first_seat))
+    actions = _receiver_actions(h, grid)
+    return all(member[i][j] for _, _, member in _level_sets(h, grid, actions, first_seat))
 
 
 def _verify_binary_pass_through(
@@ -463,6 +464,23 @@ def _uniform_subgame_tables(h: HierarchySpec, m0: Fraction, m1: Fraction) -> Hie
     return HierarchySpec(senders=senders, receiver=receiver, prior=p_sub)
 
 
+def _stand_in(h: HierarchySpec, m0: Fraction, m1: Fraction) -> tuple[HierarchySpec, OutcomeGrid]:
+    """`_uniform_subgame_tables` for means m0 < 1/2 < m1, and its breakpoint
+    grid: the axes hold 0, its prior, 1 and the crossing w of each of seats
+    2..n and the receiver inside (m0, m1), mapped to (w - m0)/(m1 - m0), and
+    no lattice.  Between two consecutive coordinates the receiver's action
+    is constant and each seat's value is monotone in each coordinate (see
+    `solve_general_grid`), so along one coordinate a seat's best contraction
+    sits on them.  That these coordinates suffice for the whole recursion is
+    checked, not proved: against the closed form's subgame answer and the
+    verifier's answer on a 1/100 lattice (tests/test_oracle.py)."""
+    sub = _uniform_subgame_tables(h, m0, m1)
+    width = m1 - m0
+    crossings = (a.utility.crossing for a in (*h.senders[1:], h.receiver))
+    points = [(w - m0) / width for w in crossings if m0 < w < m1]
+    return sub, OutcomeGrid(sub.prior, *_axes(sub.prior.p, (Fraction(0), Fraction(1), *points)))
+
+
 def verify_simple_equilibrium(
     h: HierarchySpec,
     eq,
@@ -474,12 +492,15 @@ def verify_simple_equilibrium(
 
     ``eq`` may be a solver report (anything with .outcome or .support) or a
     raw outcome.  ``grid`` is a grid or a resolution, 100 when omitted.  For
-    uniform-state hierarchies pass a grid resolution (int); the scan runs in
-    the induced subgame.
+    uniform-state hierarchies the scan runs in the induced subgame on the
+    stand-in's breakpoint grid (`_stand_in`), whatever the grid; a resolution
+    below 10 is still refused.
     """
     outcome = getattr(eq, "outcome", eq)
     if grid is None:
         grid = 100
+    if isinstance(grid, int):
+        _check_resolution(grid)
     if h.is_binary:
         if isinstance(outcome, BinaryOutcome):
             pass
@@ -503,9 +524,7 @@ def verify_simple_equilibrium(
         return False
     if not (m0 < HALF < m1):
         return False
-    sub = _uniform_subgame_tables(h, m0, m1)
-    resolution = grid if isinstance(grid, int) else grid.resolution
-    sub_grid = build_grid(sub.prior, resolution)
+    sub, sub_grid = _stand_in(h, m0, m1)
     # full information is cell (0, 1); scan every intermediary of the original
     # chain (all senders of the stand-in); the cut itself is always realizable
     return _passed_unchanged(sub, sub_grid, 1, (0, len(sub_grid.q1s) - 1))
@@ -515,59 +534,6 @@ def verify_simple_equilibrium(
 # exhaustive search for the uniform-state game
 # ---------------------------------------------------------------------------
 
-def _flip_class_action(c: AgentClass) -> AgentClass:
-    swap = {
-        Kind.CONFORMIST: Kind.CONTRARIAN,
-        Kind.CONTRARIAN: Kind.CONFORMIST,
-        Kind.ZERO_EXTREMIST: Kind.ONE_EXTREMIST,
-        Kind.ONE_EXTREMIST: Kind.ZERO_EXTREMIST,
-    }
-    return AgentClass(kind=swap[c.kind], threshold=c.threshold)
-
-def _flip_class_state(c: AgentClass) -> AgentClass:
-    if c.kind.is_extremist:
-        return AgentClass(kind=c.kind)
-    swap = {Kind.CONFORMIST: Kind.CONTRARIAN, Kind.CONTRARIAN: Kind.CONFORMIST}
-    return AgentClass(kind=swap[c.kind], threshold=1 - c.threshold)
-
-
-def _prop_decide(
-    classes: Sequence[AgentClass], mu_r: Fraction, p: Fraction
-) -> Optional[tuple[Fraction, Fraction]]:
-    """Equilibrium outcome delivered by a chain of intermediaries holding the
-    given (canonical-frame) classes, in posterior coordinates: None means the
-    pipe collapses to no information; otherwise the delivered pair."""
-    a: list[tuple[int, Fraction]] = []
-    blockers: list[tuple[int, Optional[Fraction]]] = []
-    for pos, c in enumerate(classes, start=1):
-        if c.kind is Kind.ONE_EXTREMIST:
-            return None
-        if c.kind is Kind.CONTRARIAN:
-            if c.threshold >= mu_r:
-                return None
-            blockers.append((pos, c.threshold))
-        elif c.kind is Kind.ZERO_EXTREMIST:
-            blockers.append((pos, None))
-        elif c.threshold < mu_r:
-            a.append((pos, c.threshold))
-    if a:
-        a_pos, a_thr = a[0]
-        for pos, thr in a[1:]:
-            if thr < a_thr or (thr == a_thr and pos > a_pos):
-                a_pos, a_thr = pos, thr
-    else:
-        a_pos, a_thr = len(classes) + 1, mu_r  # the receiver herself
-    for _, thr in blockers:
-        if thr is not None and thr > a_thr:
-            return None
-    if not blockers:
-        return (Fraction(0), Fraction(1))
-    e_pos = max(pos for pos, _ in blockers)
-    if a_pos > e_pos:
-        return (a_thr, Fraction(1))
-    return None
-
-
 def _respond_to_means(
     h: HierarchySpec,
     m0: Fraction,
@@ -575,48 +541,28 @@ def _respond_to_means(
 ) -> list[tuple[Fraction, Fraction, int]]:
     """What the receiver ends up seeing and doing if player 1 induces means
     (m0, m1): a list of (cell mean, weight, receiver action).  Intermediaries
-    2..n respond per their subgame classes."""
+    2..n respond with the grid equilibrium of the binary stand-in on its
+    breakpoint grid (`_stand_in`), mapped back by d = m0 + q (m1 - m0)."""
     act = action_rule(h)
-    if m0 == m1:
-        return [(HALF, Fraction(1), act(HALF))]
-    sub_mu_r = (h.receiver.utility.crossing - m0) / (m1 - m0)
-    sub_p = (HALF - m0) / (m1 - m0)
-    receiver_conformist = h.receiver.utility.alpha > 0
-
-    if not 0 < sub_mu_r < 1 or not 0 < sub_p < 1:
-        # the receiver cannot split on [m0, m1]; information is moot
-        return [(HALF, Fraction(1), act(HALF))]
-
-    classes = [
-        reclassify_under_support(classify_linear(s.utility), m0, m1)
-        for s in h.senders[1:]
-    ]
-    mu_r, p = sub_mu_r, sub_p
-    if not receiver_conformist:
-        classes = [_flip_class_action(c) for c in classes]
-    if mu_r > p:
-        # a bare state reflection would leave the receiver acting downward, so
-        # pair it with an action swap to restore the upward-acting convention
-        classes = [_flip_class_action(_flip_class_state(c)) for c in classes]
-        mu_r, p = 1 - mu_r, 1 - p
-    if mu_r == p:
-        return [(HALF, Fraction(1), act(HALF))]
-
-    sub = _prop_decide(classes, mu_r, p) if classes else (Fraction(0), Fraction(1))
-    if sub is None:
-        return [(HALF, Fraction(1), act(HALF))]
-    if mu_r != sub_mu_r:  # undo the state reflection
-        sub = tuple(sorted(1 - q for q in sub))
-    d0 = m0 + sub[0] * (m1 - m0)
-    d1 = m0 + sub[1] * (m1 - m0)
-    if d0 == d1 or not d0 < HALF < d1:
-        return [(HALF, Fraction(1), act(HALF))]
+    at_prior = act(HALF)
+    silence = [(HALF, Fraction(1), at_prior)]
+    if not m0 < HALF < m1 or not m0 <= h.receiver.utility.crossing <= m1:
+        # all weight on one mean, or one action at every mean of [m0, m1]
+        return silence
+    d0, d1 = m0, m1  # a lone sender's cut reaches the receiver as it is
+    if h.n > 1:
+        sub, grid = _stand_in(h, m0, m1)
+        spe = solve_spe_grid(sub, grid)
+        if len(spe) != 1:
+            raise ChainError(f"the stand-in for ({m0}, {m1}) has {len(spe)} equilibria: {spe}")
+        out = spe[0]
+        if out.degenerate:
+            return silence
+        d0, d1 = m0 + out.q0 * (m1 - m0), m0 + out.q1 * (m1 - m0)
     a0, a1 = act(d0), act(d1)
-    if a0 == a1 and a0 == act(HALF):
-        return [(HALF, Fraction(1), act(HALF))]
-    w1 = (HALF - d0) / (d1 - d0)
-    w0 = (d1 - HALF) / (d1 - d0)
-    return [(d0, w0, a0), (d1, w1, a1)]
+    if a0 == a1 == at_prior:
+        return silence
+    return [(d0, (d1 - HALF) / (d1 - d0), a0), (d1, (HALF - d0) / (d1 - d0), a1)]
 
 
 def _means_value(u: LinearUtility, cells: list[tuple[Fraction, Fraction, int]]) -> Fraction:
@@ -653,30 +599,50 @@ def solve_general_grid(h: HierarchySpec, resolution: int) -> list[tuple[Fraction
     cells whose means are the same two of {m0, m1, the crossings}, each with
     the same receiver action; only the weights depend on the pair.
 
-    Proof.  The search keeps m0 <= 1/2 <= m1, so m0 = m1 holds only where both
-    signs against 1/2 are zero.  Otherwise m0 < m1, so phi(x) =
-    (x - m0)/(m1 - m0) is increasing and affine.  The guard 0 < phi(w_r) < 1
-    reads m0 < w_r < m1 and 0 < phi(1/2) < 1 reads m0 < 1/2 < m1: signs of the
-    type.  ``classify_linear`` reads the utility alone;
-    ``reclassify_under_support`` makes a crossing w extremist when w < m0 or
-    w > m1 (signs of the type) and otherwise keeps its kind with threshold
-    phi(w).  The action flip reads the receiver's slope; the reflection
-    x -> 1 - x is taken iff phi(w_r) > phi(1/2), i.e. iff w_r > 1/2, and
-    mu_r = p iff w_r = 1/2: fixed by the game.  So every kind reaching
-    ``_prop_decide`` is fixed by the type, and every threshold, mu_r included,
-    is chi(w) for one map chi (phi, or phi then the reflection) that is
-    monotone in a direction fixed by the game.  ``_prop_decide`` branches on
-    kinds and on comparisons between two such thresholds; each has the outcome
-    of the comparison between their crossings, read in chi's direction, so the
-    branch is fixed by the type.  It returns None, (0, 1) or (chi(w), 1) for
-    one crossing w fixed by the type.  Undoing the reflection and mapping back
-    by q -> m0 + q (m1 - m0) sends {0, 1} to {m0, m1} and chi(w) to w exactly.
-    The remaining tests compare two delivered means, or one with 1/2: m0 or m1
-    against a crossing or 1/2 is a sign of the type, and two crossings, or a
-    crossing and 1/2, compare the same way in every pair.  The receiver's
-    action at a mean d is the sign of its gain at d, which is the sign of
-    d - w_r times its slope, or the tie rule at w_r when d = w_r; fixed by the
-    type, and so is the silence test on the two actions.  QED
+    Proof.  The search keeps m0 <= 1/2 <= m1.  ``_respond_to_means`` answers
+    silence unless m0 < 1/2 < m1 and m0 <= w_r <= m1, signs of the type, and
+    delivers (m0, m1) itself when n = 1.  Otherwise phi(x) = (x - m0)/(m1 - m0)
+    is increasing and affine, and the answer is the grid equilibrium of the
+    stand-in (`_stand_in`), in which an agent's gain at belief q is its gain g
+    at the mean phi^-1(q), g being affine.  Three things are fixed by the type:
+
+    (i) The stand-in's axes and their order.  They hold phi of m0, m1, 1/2 and
+    of each crossing w with m0 < w < m1; which crossings enter is a sign of
+    the type, and since phi is increasing two coordinates compare as their
+    preimages do: a sign of the type, or fixed by the game.  So the cells,
+    labelled by those preimages, are the same for every pair of the type, and
+    d = m0 + q (m1 - m0) maps each coordinate back to its label exactly.
+
+    (ii) The receiver's action at each coordinate, tie rule included.  At
+    phi(x) it is the sign of the receiver's g at x, or where that is zero the
+    sign of seat n's g at x (the stand-in's last sender is seat n).  The sign
+    of an affine g at x = m0 or m1 is the sign of x - w times g's slope, for w
+    its crossing: a sign of the type; at 1/2 or a crossing it is fixed by the
+    game.  The same holds for the actions at the delivered means and at 1/2
+    that the silence test reads.
+
+    (iii) The direction in which each seat's chord value moves along each
+    coordinate within an action block.  The receiver's gain is affine, so her
+    action is monotone in the mean, and every cell she does not answer with
+    one action has the same action pattern.  With pattern (0, 1) seat k values
+    cell (x0, x1) at V = (1/2 - x0) g(x1) / (x1 - x0); dV/dx0 has the sign of
+    -g(x1) and dV/dx1 that of -g(x0).  With pattern (1, 0), V = (x1 - 1/2)
+    g(x0) / (x1 - x0), and the signs are those of g(x1) and g(x0).  Each is
+    the sign of g at a coordinate, fixed by the type as in (ii).  A cell the
+    receiver answers with one action a is worth a * g(1/2), by linearity.
+
+    What (i)-(iii) do not close.  The level masks and the argmax compare a
+    seat's values of two cells.  Such a comparison is fixed by the type when
+    both cells are made of crossings and 1/2 alone; when one is answered with
+    one action (the other's value minus a * g(1/2) is minus its weight times
+    g at one coordinate); and when the two share a coordinate (the other moves
+    within one pattern, in the direction of (iii)).  Two informative cells
+    with no coordinate in common, one holding m0 or m1, are ordered by
+    magnitudes that move with the pair, and nothing here shows that such a
+    comparison never decides a level, or the argmax, differently within one
+    type.  That step is checked, not proved: `test_matches_the_per_pair_search`
+    answers every lattice pair with its own stand-in and requires the same
+    supports.
 
     The pairs of one order type form a *block*.  The place of a lattice mean
     k/G is its tuple of signs against every crossing and against 1/2, so the
@@ -711,8 +677,7 @@ def solve_general_grid(h: HierarchySpec, resolution: int) -> list[tuple[Fraction
     """
     if not isinstance(h.prior, UniformPrior):
         raise ChainError("exhaustive mean search needs the uniform prior")
-    if resolution < 10:
-        raise ResolutionTooCoarse(f"need at least 10 grid steps, got {resolution}")
+    _check_resolution(resolution)
     crossings = tuple(a.utility.crossing for a in (*h.senders[1:], h.receiver))
     # every mean m below is the int scale * m
     scale = lcm(2, resolution, *(w.denominator for w in crossings))

@@ -21,12 +21,14 @@ from infochain import (
     BinaryPrior,
     ChainError,
     IntervalCut,
+    NotCovered,
     OutcomeGrid,
     ResolutionTooCoarse,
     SeedRequired,
     UniformPrior,
     blackwell_maximal,
     build_grid,
+    canonicalize_receiver,
     conformist_table,
     contrarian_table,
     experiment,
@@ -37,18 +39,21 @@ from infochain import (
     linear_utility,
     make_outcome,
     monte_carlo,
+    mpc_feasible_uniform,
     no_information,
     one_extremist_table,
     solve_binary,
     solve_general_grid,
     solve_general_uniform,
     solve_spe_grid,
+    solve_subgame_given_support,
     verify_simple_equilibrium,
     zero_extremist_table,
 )
 from infochain import oracle
 from infochain.cli import ingest, main
 from infochain.oracle import action_rule, outcome_value
+from test_acceptance import _random_uniform_game
 
 P = BinaryPrior(F(3, 5))
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -77,7 +82,7 @@ def chain(grid20):
 class TestGrid:
     def test_pair_count_small(self):
         # helper enumeration at a deliberately coarse step: 4 low x 3 high
-        q0s, q1s = oracle._axes(F(3, 5), 5)
+        q0s, q1s = oracle._axes(F(3, 5), [F(k, 5) for k in range(6)])
         assert len(q0s) * len(q1s) == 12
 
     def test_minimum_resolution(self):
@@ -97,7 +102,7 @@ class TestGrid:
     def test_outcomes_are_the_distinct_pair_outcomes(self, p, resolution):
         prior = BinaryPrior(p)
         grid = build_grid(prior, resolution)
-        q0s, q1s = oracle._axes(p, resolution)
+        q0s, q1s = oracle._axes(p, [F(k, resolution) for k in range(resolution + 1)])
         want = sorted(
             {make_outcome(a, b, prior) for a in q0s for b in q1s},
             key=lambda o: (o.q0, o.q1),
@@ -106,7 +111,7 @@ class TestGrid:
         assert [grid.cell_of(o) for o in grid.outcomes] == grid.cells()
 
     def test_grid_holds_only_coordinates(self):
-        assert [f.name for f in fields(OutcomeGrid)] == ["resolution", "prior", "q0s", "q1s"]
+        assert [f.name for f in fields(OutcomeGrid)] == ["prior", "q0s", "q1s"]
 
 
 class TestLevelSets:
@@ -191,7 +196,7 @@ class TestGridEquilibria:
                 no_information(p) if act(o.q0) == act(o.q1) == act(o.p) else o
                 for o in candidates if value[o] == best
             ]
-            assert solve_spe_grid(h, grid) == blackwell_maximal(arg), (h, grid.resolution)
+            assert solve_spe_grid(h, grid) == blackwell_maximal(arg), (h, grid.q0s, grid.q1s)
 
     def test_blackwell_filter(self):
         wide = make_outcome(F(1, 4), 1, P)
@@ -275,7 +280,7 @@ class TestIntegerTables:
                 for row, q0 in zip(table, grid.q0s) for v, q1 in zip(row, grid.q1s)
             ]
             scales = {F(v) / ref for v, ref in pairs if ref}
-            assert len(scales) <= 1 and all(c > 0 for c in scales), (h, grid.resolution)
+            assert len(scales) <= 1 and all(c > 0 for c in scales), (h, grid.q0s, grid.q1s)
             assert all(v == 0 for v, ref in pairs if not ref)
 
     @pytest.mark.parametrize("p", [F(1, 3), F(2, 7), F(77, 100)])
@@ -303,6 +308,23 @@ class TestIntegerTables:
         assert sub.prior.p == F(21, 46)
         grid = build_grid(sub.prior, resolution)
         assert len(grid.q0s) + len(grid.q1s) == resolution + 3  # p is off the lattice
+        self.assert_scaled(sub, grid)
+
+    @pytest.mark.parametrize("m0, m1", [(F(1, 5), F(6, 7)), (F(3, 10), F(29, 50)),
+                                        (F(1, 7), F(3, 5))])
+    def test_uniform_stand_in_on_its_breakpoints(self, m0, m1):
+        # the stand-in's own grid: 0, its prior, 1 and the crossings inside
+        # (m0, m1), mapped into it; (3/10, 29/50) puts two crossings on the ends
+        h = hierarchy(
+            [linear_utility(1, F(-8, 25)), linear_utility(-1, F(1, 5)), linear_utility(1, F(-29, 50))],
+            linear_utility(1, F(-3, 10)), UNIFORM,
+        )
+        sub, grid = oracle._stand_in(h, m0, m1)
+        points = {F(0), sub.prior.p, F(1)} | {
+            (a.utility.crossing - m0) / (m1 - m0) for a in (*h.senders[1:], h.receiver)
+            if m0 < a.utility.crossing < m1}
+        assert (*grid.q0s, *grid.q1s[1:]) == tuple(sorted(points))
+        assert max(len(grid.q0s), len(grid.q1s)) <= sub.n + 3
         self.assert_scaled(sub, grid)
 
     def test_ties_on_lattice_points(self, grid20):
@@ -419,6 +441,54 @@ class TestUniformGrid:
     def test_zero_biased_conformist_anchors_low_cell(self):
         assert solve_general_grid(self.GAMES["anchored_low_cell"], 100) == [(F(3, 25), F(31, 50))]
 
+    @pytest.mark.parametrize("resolution", [50, 100, 200])
+    def test_single_sender_attains_the_tie_at_the_receivers_mean(self, resolution):
+        # the fifth seed-3003 acceptance draw: one sender with gain m - 13/20,
+        # the receiver with gain m - 3/25, so w_r = 3/25.  This is plain
+        # single-sender persuasion.  A split worth more than silence (-3/20)
+        # must leave the low cell unacted, so m0 <= 3/25; at m0 = 3/25 the
+        # receiver is indifferent and takes the sender's action there, 0,
+        # since 3/25 < 13/20.  The pair is worth V = (1/2 - m0)(m1 - 13/20) /
+        # (m1 - m0), whose m1-slope has the sign of -(m0 - 13/20) > 0, so
+        # m1 = m0 + 1/2 and V = 2 (1/2 - m0)(m0 - 3/20), rising in m0 up to
+        # 13/40.  So the optimum is the cut (3/25, 31/50), worth
+        # 2 * 19/50 * (-3/100) = -57/2500, attained on every lattice that
+        # holds 3/25, not only approached from below
+        rng = random.Random(3003)
+        h = [_random_uniform_game(rng) for _ in range(5)][4]
+        assert h == hierarchy([linear_utility(1, F(-13, 20))], linear_utility(1, F(-3, 25)), UNIFORM)
+        got = solve_general_grid(h, resolution)
+        assert got == [(F(3, 25), F(31, 50))]
+        cells = oracle._respond_to_means(h, F(3, 25), F(31, 50))
+        assert [a for _, _, a in cells] == [0, 1]
+        assert oracle._means_value(h.senders[0].utility, cells) == F(-57, 2500)
+        with pytest.raises(NotCovered):
+            solve_general_uniform(h)
+
+    def test_subgames_match_the_closed_form(self):
+        # two routes to one subgame: the stand-in's brute force and
+        # solve_subgame_given_support, on canonical acceptance draws at every
+        # feasible 1/30 lattice pair.  Pairs with m0 = w_r are left out: there
+        # the closed form still answers silence by a strict guard, while the
+        # receiver's tie rule lets the split through
+        rng = random.Random(3003)
+        answers = []
+        for _ in range(40):
+            h, _ = canonicalize_receiver(_random_uniform_game(rng))
+            w_r = h.receiver.utility.crossing
+            for m0 in (F(k, 30) for k in range(16)):
+                for m1 in (F(k, 30) for k in range(15, 31)):
+                    if m0 == m1 or m0 == w_r or not mpc_feasible_uniform(m0, m1):
+                        continue
+                    cells = oracle._respond_to_means(h, m0, m1)
+                    closed = solve_subgame_given_support(h, m0, m1)
+                    got = None if len(cells) == 1 else (cells[0][0], cells[1][0])
+                    assert got == (None if closed is None else closed.support()), (h, m0, m1)
+                    answers.append(got)
+        assert len(answers) > 5000
+        assert {got is None for got in answers} == {True, False}
+        assert any(got[0] not in (F(k, 30) for k in range(16)) for got in answers if got)
+
     def test_resolution_floor(self):
         h = hierarchy([linear_utility(1, F(-1, 5))], linear_utility(1, F(-3, 10)), UNIFORM)
         with pytest.raises(ResolutionTooCoarse):
@@ -496,12 +566,14 @@ class TestUniformGrid:
                  if m0 <= half <= m1 and m1 - m0 <= half}
         assert sorted(asked) == sorted(every)
 
-    @pytest.mark.parametrize("resolution, low", [(12, F(1, 6)), (40, F(1, 8))])
+    @pytest.mark.parametrize("resolution, low", [(12, F(1, 6)), (40, F(1, 10))])
     def test_value_ties_across_whole_blocks(self, resolution, low):
         # player 1 shares the contrarian receiver's crossing 3/5, and the
         # seat between them, who prefers action 0 on all of [0, 1], delivers
         # that crossing as the high mean: every such split is worth 1/10, as
-        # silence is, whatever m0
+        # silence is, whatever m0.  At G=40, 3/5 is a lattice mean, and the
+        # cut (1/10, 3/5) splits there too: the receiver, indifferent at 3/5,
+        # takes the last sender's action 0, so it is the widest split
         h = hierarchy([linear_utility(-1, F(3, 5)), linear_utility(1, F(-7, 6))],
                       linear_utility(-1, F(3, 5)), UNIFORM, strict=False)
         got = solve_general_grid(h, resolution)
@@ -530,6 +602,16 @@ class TestUniformGrid:
         ])
         with pytest.raises(ChainError, match="not among"):
             solve_general_grid(h, 20)
+
+    def test_stand_in_with_two_equilibria_is_refused(self, monkeypatch):
+        # a subgame answer must be one outcome, not a choice between several
+        h = hierarchy([linear_utility(1, F(-1, 5)), linear_utility(1, F(-2, 5))],
+                      linear_utility(1, F(-3, 10)), UNIFORM)
+        monkeypatch.setattr(oracle, "solve_spe_grid", lambda sub, grid: [
+            make_outcome(0, 1, sub.prior), make_outcome(0, 1, sub.prior),
+        ])
+        with pytest.raises(ChainError, match="2 equilibria"):
+            oracle._respond_to_means(h, F(1, 5), F(7, 10))
 
 
 class TestVerifySimple:
@@ -664,6 +746,39 @@ class TestVerifySimple:
             linear_utility(1, F(-3, 10)), UNIFORM,
         )
         assert verify_simple_equilibrium(h, (F(4, 25), F(33, 50)), 100)
+
+    def test_uniform_verdicts_match_the_lattice_reference(self):
+        # the uniform verifier scans the stand-in on its breakpoint grid; the
+        # reference scans it on the 1/100 lattice with its prior, as the
+        # verifier once did.  Pairs: the closed-form support of covered
+        # acceptance draws and its two 1/200 widenings, and every feasible
+        # 1/20 lattice pair of the first draws
+        def lattice_verdict(h, m0, m1):
+            if not (mpc_feasible_uniform(m0, m1) and m0 < F(1, 2) < m1):
+                return False
+            sub = oracle._uniform_subgame_tables(h, m0, m1)
+            grid = build_grid(sub.prior, 100)
+            return oracle._passed_unchanged(sub, grid, 1, (0, len(grid.q1s) - 1))
+
+        rng = random.Random(3003)
+        lattice = [(F(a, 20), F(b, 20)) for a in range(10) for b in range(11, 21) if b - a <= 10]
+        verdicts = []
+        for draw in range(40):
+            h = _random_uniform_game(rng)
+            pairs = lattice if draw < 10 else []
+            try:
+                support = solve_general_uniform(h).support
+            except NotCovered:
+                support = ()
+            if len(support) == 2:
+                m0, m1 = support
+                pairs = [*pairs, (m0, m1), (m0 - F(1, 200), m1), (m0, m1 + F(1, 200))]
+            for m0, m1 in pairs:
+                if 0 <= m0 and m1 <= 1:
+                    verdict = verify_simple_equilibrium(h, (m0, m1))
+                    assert verdict == lattice_verdict(h, m0, m1), (h, m0, m1)
+                    verdicts.append(verdict)
+        assert len(verdicts) > 500 and set(verdicts) == {True, False}
 
     def test_zero_resolution_is_too_coarse(self, chain):
         # 0 is a resolution like any other, not a request for the default
