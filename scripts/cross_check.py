@@ -9,13 +9,14 @@ verifier to accept the closed-form report.  Any disagreement or rejection is
 printed with the full hierarchy and both answers, and the exit code is
 nonzero so the script can gate a long soak run.
 
-With ``--digest`` nothing is compared: the script prints the oracle's answers,
-one line per drawn game and no timings (for a binary game the grid SPE
-supports and the pass-through verdict on the closed-form support, for a
-uniform game the pair search's supports, games outside the closed forms'
-region included, and the verdict on the closed-form report, or
-``not-covered``), so that the output of two versions of the package can be
-diffed.
+With ``--digest`` nothing is compared: the script prints both routes'
+answers, one line per drawn game and no timings, so that the output of two
+versions of the package can be diffed.  Each line holds the closed form's
+answer (kind, support, no-information cause or condition trace, and the
+pivotal agents; ``not-covered: <reason>`` for a uniform game outside its
+region), then the oracle's (for a binary game the grid SPE supports, for a
+uniform game the pair search's supports) and the pass-through verdict on the
+closed-form report.
 
 Example:
     python3 scripts/cross_check.py --mode both --games 50 --seed 7
@@ -27,6 +28,7 @@ import argparse
 import random
 import sys
 import time
+from dataclasses import fields
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -35,6 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from infochain import (
     AgentSpec,
     BinaryPrior,
+    GeneralEquilibriumReport,
     GeneralKind,
     HierarchySpec,
     NotCovered,
@@ -137,18 +140,39 @@ def check_uniform(games: int, seed: int, resolution: int) -> int:
     return failures
 
 
+def show_pair(pair) -> str:
+    return "(" + ", ".join(map(str, pair)) + ")"
+
+
 def show(pairs) -> str:
-    return "[" + ", ".join("(" + ", ".join(map(str, pair)) + ")" for pair in pairs) + "]"
+    return "[" + ", ".join(show_pair(pair) for pair in pairs) + "]"
+
+
+def describe(report) -> str:
+    """The closed form's answer: kind, support, cause or trace, and every
+    pivotal field that is set."""
+    if isinstance(report, GeneralEquilibriumReport):
+        why = f"trace {report.condition_trace}"
+    else:
+        why = f"cause {report.no_info_cause.value if report.no_info_cause else None}"
+    piv = report.pivotal
+    agents = "none" if piv is None else " ".join(
+        f"{f.name}={getattr(piv, f.name)}" for f in fields(piv)
+        if getattr(piv, f.name) is not None
+    )
+    return f"{report.kind.value} {show_pair(report.support)} {why} pivotal {agents}"
 
 
 def digest_binary(games: int, seed: int, resolution: int) -> None:
     rng = random.Random(seed)
     for i in range(games):
         h = random_binary_game(rng)
+        report = solve_binary(h)
         grid = build_grid(h.prior, resolution)
         supports = [o.support() for o in solve_spe_grid(h, grid)]
-        verdict = verify_simple_equilibrium(h, solve_binary(h), grid)
-        print(f"binary {i}: spe {show(supports)} verified {verdict}")
+        verdict = verify_simple_equilibrium(h, report, grid)
+        print(f"binary {i}: closed {describe(report)} spe {show(supports)} "
+              f"verified {verdict}")
 
 
 def digest_uniform(games: int, seed: int, resolution: int) -> None:
@@ -156,10 +180,13 @@ def digest_uniform(games: int, seed: int, resolution: int) -> None:
     for i in range(games):
         h = random_uniform_game(rng)
         try:
-            verdict = verify_simple_equilibrium(h, solve_general_uniform(h))
-        except NotCovered:
-            verdict = "not-covered"
-        print(f"uniform {i}: pairs {show(solve_general_grid(h, resolution))} verified {verdict}")
+            report = solve_general_uniform(h)
+        except NotCovered as exc:
+            closed, verdict = f"not-covered: {exc}", "not-covered"
+        else:
+            closed, verdict = describe(report), verify_simple_equilibrium(h, report)
+        print(f"uniform {i}: closed {closed} "
+              f"pairs {show(solve_general_grid(h, resolution))} verified {verdict}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -176,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--uniform-grid", type=int, default=200,
                     help="mean grid resolution for the uniform oracle (default 200)")
     ap.add_argument("--digest", action="store_true",
-                    help="print the oracle's answers per drawn game instead of "
+                    help="print both routes' answers per drawn game instead of "
                          "checking them, with no timings")
     args = ap.parse_args(argv)
     binary, uniform = args.mode in ("binary", "both"), args.mode in ("uniform", "both")

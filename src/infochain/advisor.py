@@ -109,7 +109,7 @@ def optimal_vp_binary(
     if not 0 < delta < 1:
         raise ChainError(f"delta must sit strictly inside (0, 1), got {delta}")
     before = solve_binary(h)
-    if receiver_class(h).kind.is_extremist:
+    if before.pivotal is None:
         raise NoImprovement("the receiver ignores information; nothing to gain")
     lo = before.pivotal.d_star_threshold
     hi = before.pivotal.a_star_threshold

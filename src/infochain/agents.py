@@ -155,15 +155,11 @@ class AgentClass:
     """Where an agent sits in the taxonomy.
 
     ``threshold`` is the indifference belief (binary game) or indifference
-    mean (general game) and is None for extremists.  ``bias_toward`` is the
-    preferred action at the prior; ``bias_magnitude`` orders same-direction
-    agents by |prior - threshold| and is invariant under relabeling.
+    mean (general game) and is None for extremists.
     """
 
     kind: Kind
     threshold: Optional[Fraction] = None
-    bias_toward: Optional[int] = None
-    bias_magnitude: Optional[Fraction] = None
 
 
 def indifference_belief(u: TableUtility) -> Fraction:
@@ -174,15 +170,6 @@ def indifference_belief(u: TableUtility) -> Fraction:
     if d0 + d1 == 0:
         raise DegenerateAgent("action preference never switches (d0 + d1 = 0)")
     return d0 / (d0 + d1)
-
-
-def _biased(threshold: Fraction, prior: Fraction, conformist: bool) -> tuple[int, Fraction]:
-    # A conformist prefers 1 above the threshold, a contrarian below it.
-    if conformist:
-        toward = 1 if prior > threshold else 0
-    else:
-        toward = 0 if prior > threshold else 1
-    return toward, abs(prior - threshold)
 
 
 def classify_binary(u: TableUtility, prior: BinaryPrior) -> AgentClass:
@@ -201,13 +188,11 @@ def classify_binary(u: TableUtility, prior: BinaryPrior) -> AgentClass:
         return AgentClass(kind=kind)
     if mu == p:
         raise ThresholdCollision(f"threshold collides with prior {p}")
-    conformist = d1 > 0
-    kind = Kind.CONFORMIST if conformist else Kind.CONTRARIAN
-    toward, magnitude = _biased(mu, p, conformist)
-    return AgentClass(kind=kind, threshold=mu, bias_toward=toward, bias_magnitude=magnitude)
+    kind = Kind.CONFORMIST if d1 > 0 else Kind.CONTRARIAN
+    return AgentClass(kind=kind, threshold=mu)
 
 
-def classify_linear(u: LinearUtility, prior: UniformPrior | None = None) -> AgentClass:
+def classify_linear(u: LinearUtility) -> AgentClass:
     """Taxonomy slot of a linear agent under the uniform prior."""
     w = u.crossing
     if w in (Fraction(0), HALF, Fraction(1)):
@@ -217,10 +202,8 @@ def classify_linear(u: LinearUtility, prior: UniformPrior | None = None) -> Agen
         sign = u.gain_of_action1(HALF)
         kind = Kind.ONE_EXTREMIST if sign > 0 else Kind.ZERO_EXTREMIST
         return AgentClass(kind=kind)
-    conformist = u.alpha > 0
-    kind = Kind.CONFORMIST if conformist else Kind.CONTRARIAN
-    toward, magnitude = _biased(w, HALF, conformist)
-    return AgentClass(kind=kind, threshold=w, bias_toward=toward, bias_magnitude=magnitude)
+    kind = Kind.CONFORMIST if u.alpha > 0 else Kind.CONTRARIAN
+    return AgentClass(kind=kind, threshold=w)
 
 
 def reclassify_under_support(agent: AgentClass, m0: NumberLike, m1: NumberLike) -> AgentClass:
@@ -243,14 +226,7 @@ def reclassify_under_support(agent: AgentClass, m0: NumberLike, m1: NumberLike) 
         return AgentClass(kind=Kind.ONE_EXTREMIST if conformist else Kind.ZERO_EXTREMIST)
     if w > m1:
         return AgentClass(kind=Kind.ZERO_EXTREMIST if conformist else Kind.ONE_EXTREMIST)
-    mu = (w - m0) / (m1 - m0)
-    sub_prior = (HALF - m0) / (m1 - m0)
-    if 0 < sub_prior < 1 and mu != sub_prior:
-        toward, magnitude = _biased(mu, sub_prior, conformist)
-    else:
-        toward, magnitude = None, None
-    return AgentClass(kind=agent.kind, threshold=mu, bias_toward=toward,
-                      bias_magnitude=magnitude)
+    return AgentClass(kind=agent.kind, threshold=(w - m0) / (m1 - m0))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +272,7 @@ def classify_spec(spec: AgentSpec, prior: Union[BinaryPrior, UniformPrior]) -> A
         return classify_binary(spec.utility, prior)
     if not isinstance(prior, UniformPrior):
         raise ValidationError("linear utilities need the uniform prior")
-    return classify_linear(spec.utility, prior)
+    return classify_linear(spec.utility)
 
 
 def hierarchy(
@@ -378,16 +354,10 @@ class Relabeling:
     def identity(self) -> bool:
         return not (self.flip_action or self.flip_state)
 
-    def point_back(self, q: Fraction) -> Fraction:
-        return 1 - q if self.flip_state else q
-
     def support_back(self, pair: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         if not self.flip_state:
             return pair
         return tuple(sorted(1 - q for q in pair))
-
-    def action_back(self, action: int) -> int:
-        return 1 - action if self.flip_action else action
 
 
 def _flip_table_action(u: TableUtility) -> TableUtility:
@@ -458,6 +428,31 @@ def canonicalize_receiver(h: HierarchySpec) -> tuple[HierarchySpec, Relabeling]:
 # pivotal structure
 # ---------------------------------------------------------------------------
 
+class EquilibriumKind(Enum):
+    NO_INFO = "no-info"
+    FULL_INFO = "full-info"
+    PARTIAL = "partial"
+
+
+class NoInfoCause(Enum):
+    """Why a chain transmits nothing.
+
+    OPPOSED: an intermediary always prefers the receiver's default action
+    (a contrarian past the receiver's threshold, or an extremist for the
+    biased action), or the receiver never reacts — no insertion of extra
+    players can fix this.
+    BLOCKER_ABOVE_PIVOT: a contrarian blocker tolerates splits only above the
+    best conformist's threshold, emptying the intersection — also unfixable.
+    ORDERING: every blocker sits behind the best-aligned conformist, who
+    therefore coarsens first; fixable by inserting a later conformist, and the
+    one case where everyone would rather have some information flow.
+    """
+
+    OPPOSED = "opposed"
+    BLOCKER_ABOVE_PIVOT = "blocker-above-pivot"
+    ORDERING = "ordering"
+
+
 @dataclass(frozen=True)
 class PivotalReport:
     """The handful of agents whose thresholds decide the equilibrium.
@@ -487,29 +482,6 @@ class PivotalReport:
     d_star_general: Optional[Fraction] = None
 
 
-def _binary_sets(classes: list[AgentClass], mu_r: Fraction, p: Fraction):
-    """Slot canonical-frame sender classes into the pivotal sets."""
-    a, b, c, d, e0, e1 = [], [], [], [], [], []
-    for pos, cls in enumerate(classes, start=1):
-        if cls.kind is Kind.ZERO_EXTREMIST:
-            e0.append(pos)
-        elif cls.kind is Kind.ONE_EXTREMIST:
-            e1.append(pos)
-        elif cls.kind is Kind.CONFORMIST:
-            if cls.threshold < mu_r:
-                a.append((pos, cls.threshold))
-            elif cls.threshold > p:
-                b.append((pos, cls.threshold))
-            # conformists between the receiver's threshold and the prior are
-            # never pivotal
-        else:
-            if cls.threshold < mu_r:
-                d.append((pos, cls.threshold))
-            else:
-                c.append(pos)
-    return a, b, c, d, e0, e1
-
-
 def _argmin_threshold(entries: list[tuple[int, Fraction]]) -> tuple[int, Fraction]:
     # ties resolved toward the receiver (later position), per the convention
     # that among equally-biased agents the one closest to the receiver is
@@ -521,32 +493,45 @@ def _argmin_threshold(entries: list[tuple[int, Fraction]]) -> tuple[int, Fractio
     return best
 
 
-def pivotal_binary(h: HierarchySpec) -> PivotalReport:
-    """Pivotal agents of a binary-state chain, reported in the canonical frame.
+def pivotal_rule(
+    classes: list[AgentClass], mu_r: Fraction
+) -> tuple[PivotalReport, EquilibriumKind, Optional[NoInfoCause], Optional[Fraction]]:
+    """The closed forms' one copy of the pivotal rule.
 
-    Apply the hierarchy's relabeling (`canonicalize_receiver`) first if you
-    need to interpret thresholds in the original labels.
+    ``classes`` are the senders' classes in the canonical frame and ``mu_r``
+    is the receiver's threshold.  Returns the pivotal agents, the equilibrium
+    kind they decide, the no-information cause, and the low-cell threshold of
+    a partial split.  Both game families and the uniform solver's induced
+    subgames read their verdicts off it.
     """
-    canon, _ = canonicalize_receiver(h)
-    p = canon.prior.p if isinstance(canon.prior, BinaryPrior) else HALF
-    mu_r = receiver_class(canon).threshold
-    classes = sender_classes(canon)
-    a, b, c, d, e0, e1 = _binary_sets(classes, mu_r, p)
+    # A: conformists below the receiver's threshold; D: contrarians below it;
+    # E0: zero-extremists.  A contrarian at or past the threshold or a
+    # one-extremist opposes every split; conformists at or past it are never
+    # pivotal.
+    a, d, e0 = [], [], []
+    opposed = False
+    for pos, cls in enumerate(classes, start=1):
+        if cls.kind is Kind.ZERO_EXTREMIST:
+            e0.append(pos)
+        elif cls.kind is Kind.ONE_EXTREMIST:
+            opposed = True
+        elif cls.threshold < mu_r:
+            (a if cls.kind is Kind.CONFORMIST else d).append((pos, cls.threshold))
+        elif cls.kind is Kind.CONTRARIAN:
+            opposed = True
 
     if a:
         a_star, a_thr = _argmin_threshold(a)
     else:
         a_star, a_thr = RECEIVER, mu_r
-    blockers = sorted(pos for pos, _ in d) + sorted(e0)
-    e_star = max(blockers) if blockers else None
-    d_below = [thr for _, thr in d if thr < a_thr]
-    d_thr = max(d_below) if d_below else Fraction(0)
+    e_star = max([pos for pos, _ in d] + e0, default=None)
+    d_thr = max((thr for _, thr in d if thr < a_thr), default=Fraction(0))
     if e_star is None:
         a_star_e: Union[int, str] = a_star
     else:
         tail = [(pos, thr) for pos, thr in a if pos > e_star]
         a_star_e = _argmin_threshold(tail)[0] if tail else RECEIVER
-    return PivotalReport(
+    report = PivotalReport(
         a_star=a_star,
         a_star_threshold=a_thr,
         e_star=e_star,
@@ -554,18 +539,38 @@ def pivotal_binary(h: HierarchySpec) -> PivotalReport:
         a_star_e=a_star_e,
     )
 
+    if opposed:
+        return report, EquilibriumKind.NO_INFO, NoInfoCause.OPPOSED, None
+    if any(thr > a_thr for _, thr in d):
+        return report, EquilibriumKind.NO_INFO, NoInfoCause.BLOCKER_ABOVE_PIVOT, None
+    if e_star is None:
+        return report, EquilibriumKind.FULL_INFO, None, None
+    if a_star == RECEIVER or a_star > e_star:
+        return report, EquilibriumKind.PARTIAL, None, a_thr
+    return report, EquilibriumKind.NO_INFO, NoInfoCause.ORDERING, None
 
-def pivotal_general(h: HierarchySpec) -> PivotalReport:
-    """Pivotal agents of the uniform-prior linear chain (canonical frame).
+
+def pivotal_binary(h: HierarchySpec) -> PivotalReport:
+    """Pivotal agents of a binary-state chain, reported in the canonical frame.
+
+    Apply the hierarchy's relabeling (`canonicalize_receiver`) first if you
+    need to interpret thresholds in the original labels.
+    """
+    canon, _ = canonicalize_receiver(h)
+    return pivotal_rule(sender_classes(canon), receiver_class(canon).threshold)[0]
+
+
+def with_general_pivots(
+    base: PivotalReport, classes: list[AgentClass], w_r: Fraction
+) -> PivotalReport:
+    """``base``, the `pivotal_rule` report of a canonical uniform chain with
+    sender classes ``classes`` and receiver crossing ``w_r``, with the
+    general-game fields filled in.
 
     P ranges over every player 1..n; B*, B*_P, D** range over intermediaries
     2..n only.  Raises NoConformist when no player has an interior crossing
     with a positive slope.
     """
-    canon, _ = canonicalize_receiver(h)
-    classes = sender_classes(canon)
-    w_r = receiver_class(canon).threshold
-
     p_candidates = [
         (pos, cls.threshold)
         for pos, cls in enumerate(classes, start=1)
@@ -595,8 +600,6 @@ def pivotal_general(h: HierarchySpec) -> PivotalReport:
     else:
         w_dstar = w_ddstar
 
-    # reuse the binary scaffolding for A*/E* of the reduced/corresponding view
-    base = pivotal_binary(h)
     return replace(
         base,
         p_pivot=p_pivot,
@@ -606,3 +609,13 @@ def pivotal_general(h: HierarchySpec) -> PivotalReport:
         d_dstar_threshold=w_ddstar,
         d_star_general=w_dstar,
     )
+
+
+def pivotal_general(h: HierarchySpec) -> PivotalReport:
+    """Pivotal agents of the uniform-prior linear chain (canonical frame):
+    the A*/E* fields of `pivotal_binary` and the general-game fields of
+    `with_general_pivots`, which raises NoConformist."""
+    canon, _ = canonicalize_receiver(h)
+    classes = sender_classes(canon)
+    w_r = receiver_class(canon).threshold
+    return with_general_pivots(pivotal_rule(classes, w_r)[0], classes, w_r)

@@ -18,51 +18,25 @@ which the brute-force engine re-derives independently from raw definitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .core import BinaryOutcome, PriorMismatch, make_outcome
 from .agents import (
-    RECEIVER,
-    AgentClass,
+    EquilibriumKind,
+    ExtremistReceiver,
     HierarchySpec,
     Kind,
+    NoInfoCause,
     PivotalReport,
     Relabeling,
     TableUtility,
     ValidationError,
-    _argmin_threshold,
-    _binary_sets,
     canonicalize_receiver,
-    pivotal_binary,
+    pivotal_rule,
     receiver_class,
     sender_classes,
 )
-
-
-class EquilibriumKind(Enum):
-    NO_INFO = "no-info"
-    FULL_INFO = "full-info"
-    PARTIAL = "partial"
-
-
-class NoInfoCause(Enum):
-    """Why a chain transmits nothing.
-
-    OPPOSED: an intermediary always prefers the receiver's default action
-    (a contrarian past the receiver's threshold, or an extremist for the
-    biased action) — no insertion of extra players can fix this.
-    BLOCKER_ABOVE_PIVOT: a contrarian blocker tolerates splits only above the
-    best conformist's threshold, emptying the intersection — also unfixable.
-    ORDERING: every blocker sits behind the best-aligned conformist, who
-    therefore coarsens first; fixable by inserting a later conformist, and the
-    one case where everyone would rather have some information flow.
-    """
-
-    OPPOSED = "opposed"
-    BLOCKER_ABOVE_PIVOT = "blocker-above-pivot"
-    ORDERING = "ordering"
 
 
 @dataclass(eq=False)
@@ -154,32 +128,6 @@ def prefers(
 # the equilibrium decision
 # ---------------------------------------------------------------------------
 
-def _decide(
-    classes: list[AgentClass], mu_r: Fraction, p: Fraction
-) -> tuple[EquilibriumKind, Optional[Fraction], Optional[NoInfoCause], Union[int, str]]:
-    """Canonical-frame equilibrium of a chain with the given sender classes:
-    (kind, low-cell threshold for partial splits, no-info cause, pivot seat).
-    The closed forms' one copy of the pivotal rule: the uniform solver reads
-    its induced subgames off it too."""
-    a, b, c, d, e0, e1 = _binary_sets(classes, mu_r, p)
-    if a:
-        a_pos, a_thr = _argmin_threshold(a)
-    else:
-        a_pos, a_thr = RECEIVER, mu_r
-    if c or e1:
-        return EquilibriumKind.NO_INFO, None, NoInfoCause.OPPOSED, a_pos
-    if any(thr > a_thr for _, thr in d):
-        return EquilibriumKind.NO_INFO, None, NoInfoCause.BLOCKER_ABOVE_PIVOT, a_pos
-    blockers = [pos for pos, _ in d] + e0
-    if not blockers:
-        return EquilibriumKind.FULL_INFO, None, None, a_pos
-    e_star = max(blockers)
-    numeric_pos = len(classes) + 1 if a_pos == RECEIVER else a_pos
-    if numeric_pos > e_star:
-        return EquilibriumKind.PARTIAL, a_thr, None, a_pos
-    return EquilibriumKind.NO_INFO, None, NoInfoCause.ORDERING, a_pos
-
-
 def _tie_action(canon: HierarchySpec, mu_r: Fraction) -> int:
     g = canon.senders[-1].utility.gain_of_action1(mu_r)
     return 1 if g > 0 else 0
@@ -188,51 +136,44 @@ def _tie_action(canon: HierarchySpec, mu_r: Fraction) -> int:
 def solve_binary(h: HierarchySpec) -> EquilibriumReport:
     """Closed-form equilibrium of a binary-state chain.
 
-    An extremist receiver never reacts, every outcome ties for every sender,
-    and informativeness tie-breaking selects full revelation.
+    An extremist receiver never reacts, so nothing a sender transmits changes
+    her action; the outcome is reported as silence, cause opposed.
     """
     if not h.is_binary:
         raise ValidationError("solve_binary needs a binary-state hierarchy")
     labels = h.labels
-    r_cls = receiver_class(h)
-    if r_cls.kind.is_extremist:
-        outcome = make_outcome(0, 1, h.prior)
-        action = 1 if r_cls.kind is Kind.ONE_EXTREMIST else 0
+    try:
+        canon, rel = canonicalize_receiver(h)
+    except ExtremistReceiver:
+        p = h.prior.p
+        action = 1 if receiver_class(h).kind is Kind.ONE_EXTREMIST else 0
         values = tuple(
-            h.prior.p * spec.utility.value(1, action)
-            + (1 - h.prior.p) * spec.utility.value(0, action)
+            p * spec.utility.value(1, action) + (1 - p) * spec.utility.value(0, action)
             for spec in (*h.senders, h.receiver)
         )
         return EquilibriumReport(
-            kind=EquilibriumKind.FULL_INFO,
-            support=(Fraction(0), Fraction(1)),
-            outcome=outcome,
+            kind=EquilibriumKind.NO_INFO,
+            support=(p,),
+            outcome=make_outcome(p, p, h.prior),
             pivotal=None,
             efficient=True,
             witness=None,
             labels=labels,
             values=values,
-            no_info_cause=None,
+            no_info_cause=NoInfoCause.OPPOSED,
             relabeling=Relabeling(),
             tie_action=action,
         )
 
-    canon, rel = canonicalize_receiver(h)
     p = canon.prior.p
     mu_r = receiver_class(canon).threshold
-    classes = sender_classes(canon)
+    pivotal, kind, cause, split = pivotal_rule(sender_classes(canon), mu_r)
     tie = _tie_action(canon, mu_r)
-    kind, a_thr, cause, a_pos = _decide(classes, mu_r, p)
-
-    if kind is EquilibriumKind.PARTIAL and a_pos == RECEIVER and tie == 1:
-        # the receiver would answer the split at her own threshold with the
-        # constant action; the nominal split carries nothing
-        kind, a_thr, cause = EquilibriumKind.NO_INFO, None, NoInfoCause.ORDERING
 
     if kind is EquilibriumKind.FULL_INFO:
         canon_outcome = make_outcome(0, 1, canon.prior)
     elif kind is EquilibriumKind.PARTIAL:
-        canon_outcome = make_outcome(a_thr, 1, canon.prior)
+        canon_outcome = make_outcome(split, 1, canon.prior)
     else:
         canon_outcome = make_outcome(p, p, canon.prior)
 
@@ -243,12 +184,10 @@ def solve_binary(h: HierarchySpec) -> EquilibriumReport:
 
     support = rel.support_back(canon_outcome.support())
     outcome = make_outcome(support[0], support[-1], h.prior)
-    pivotal = pivotal_binary(h)
     efficient = cause is not NoInfoCause.ORDERING
     witness = None
     if not efficient:
-        d_thr = pivotal.d_star_threshold
-        witness = (d_thr, pivotal.a_star_threshold)
+        witness = (pivotal.d_star_threshold, pivotal.a_star_threshold)
     return EquilibriumReport(
         kind=kind,
         support=support,
@@ -262,4 +201,3 @@ def solve_binary(h: HierarchySpec) -> EquilibriumReport:
         relabeling=rel,
         tie_action=tie,
     )
-

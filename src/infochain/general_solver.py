@@ -38,23 +38,26 @@ from .core import (
 from .agents import (
     AgentSpec,
     BinaryPrior,
+    EquilibriumKind,
+    ExtremistReceiver,
     HierarchySpec,
     Kind,
     LinearUtility,
     NoConformist,
+    NoInfoCause as BinaryCause,
     PivotalReport,
     Relabeling,
     TableUtility,
     ValidationError,
     canonicalize_receiver,
     classify_linear,
-    pivotal_general,
+    pivotal_rule,
     receiver_class,
     reclassify_under_support,
     sender_classes,
+    with_general_pivots,
 )
-from .binary_solver import EquilibriumKind, _decide, solve_binary
-from .binary_solver import NoInfoCause as BinaryCause
+from .binary_solver import solve_binary
 
 
 class NotCovered(ChainError):
@@ -196,16 +199,14 @@ def solve_subgame_given_support(
     w_r = r_cls.threshold
     if not m0 < w_r < m1:
         return None  # the receiver cannot split on this range
-    sub_mu_r = (w_r - m0) / (m1 - m0)
-    sub_p = (HALF - m0) / (m1 - m0)
     classes = [
         reclassify_under_support(classify_linear(s.utility), m0, m1)
         for s in h.senders[1:]
     ]
-    kind, a_thr, _, _ = _decide(classes, sub_mu_r, sub_p)
+    _, kind, _, split = pivotal_rule(classes, (w_r - m0) / (m1 - m0))
     if kind is EquilibriumKind.NO_INFO:
         return None
-    lo = a_thr if kind is EquilibriumKind.PARTIAL else Fraction(0)
+    lo = split if kind is EquilibriumKind.PARTIAL else Fraction(0)
     d0 = m0 + lo * (m1 - m0)
     d1 = m1
     if not d0 < HALF < d1:
@@ -301,13 +302,6 @@ def _report(
     )
 
 
-def _try_pivotal(canon: HierarchySpec) -> Optional[PivotalReport]:
-    try:
-        return pivotal_general(canon)
-    except NoConformist:
-        return None
-
-
 def solve_general_uniform(h: HierarchySpec) -> GeneralEquilibriumReport:
     """Closed-form equilibrium of the uniform-state linear chain.
 
@@ -317,23 +311,31 @@ def solve_general_uniform(h: HierarchySpec) -> GeneralEquilibriumReport:
     induced subgame.
     """
     _require_uniform_linear(h)
-    if receiver_class(h).kind.is_extremist:
-        raise NotCovered("the receiver ignores information; no support is selected")
-    canon, rel = canonicalize_receiver(h)
+    try:
+        canon, rel = canonicalize_receiver(h)
+    except ExtremistReceiver as exc:
+        raise NotCovered(
+            "the receiver ignores information; no support is selected"
+        ) from exc
+    classes = sender_classes(canon)
     w_r = receiver_class(canon).threshold
 
-    companion = solve_binary(corresponding_binary_game(canon))
-    if companion.kind is EquilibriumKind.NO_INFO:
-        trace = _CAUSE_TO_TRACE[companion.no_info_cause]
-        return _report(h, GeneralKind.NO_INFO, (HALF,), trace, _try_pivotal(canon), rel)
-
+    # The companion game over the whole chain has exactly these classes
+    # (`_as_table` keeps every threshold and slot), so its verdict is read off
+    # them without building it.
+    base, kind, cause, _ = pivotal_rule(classes, w_r)
     try:
-        pivotal = pivotal_general(canon)
-    except NoConformist as exc:
+        pivotal = with_general_pivots(base, classes, w_r)
+    except NoConformist:
+        pivotal = None
+    if kind is EquilibriumKind.NO_INFO:
+        trace = _CAUSE_TO_TRACE[cause]
+        return _report(h, GeneralKind.NO_INFO, (HALF,), trace, pivotal, rel)
+    if pivotal is None:
         raise NotCovered(
             "no conformist anywhere in the chain; the pivot-based "
             "characterization does not apply"
-        ) from exc
+        )
     w_p = pivotal.p_threshold
 
     if pivotal.b_star_p_threshold - w_p > HALF:
@@ -343,8 +345,7 @@ def solve_general_uniform(h: HierarchySpec) -> GeneralEquilibriumReport:
         # tie-break leaves its low cell unacted, and whenever player 1 weakly
         # dislikes action there the surviving pair beats silence for her.
         conformist_before_receiver = any(
-            c.kind is Kind.CONFORMIST and c.threshold < w_r
-            for c in sender_classes(canon)[1:]
+            c.kind is Kind.CONFORMIST and c.threshold < w_r for c in classes[1:]
         )
         if (
             not conformist_before_receiver
@@ -360,7 +361,6 @@ def solve_general_uniform(h: HierarchySpec) -> GeneralEquilibriumReport:
             h, GeneralKind.NO_INFO, (HALF,), TRACE_DISTANT_ZERO_BIAS, pivotal, rel
         )
 
-    classes = sender_classes(canon)
     if any(c.kind is not Kind.CONFORMIST for c in classes):
         m0, trace = w_p, TRACE_MIXED
     elif pivotal.b_star_threshold - w_p > HALF:

@@ -17,13 +17,17 @@ from infochain import (
     AgentSpec,
     BinaryPrior,
     Kind,
+    NoConformist,
     UniformPrior,
+    canonicalize_receiver,
     conformist_table,
     contrarian_table,
     experiment_of_outcome,
     hierarchy,
     linear_utility,
     make_outcome,
+    pivotal_binary,
+    pivotal_general,
     sender_classes,
     solve_binary,
 )
@@ -136,6 +140,35 @@ def grid_cache():
         return cache[key]
 
     return get
+
+
+# ---------------------------------------------------------------------------
+# the reports carry the pivotal structure their verdicts were read from
+# ---------------------------------------------------------------------------
+
+def test_binary_reports_carry_the_pivotal_structure(binary_suite, announce):
+    partial = 0
+    for h, report in binary_suite:
+        assert report.pivotal == pivotal_binary(h)
+        if report.kind is EquilibriumKind.PARTIAL:
+            partial += 1
+            low = min(report.relabeling.support_back(report.support))
+            assert low == report.pivotal.a_star_threshold
+            assert report.pivotal.a_star_e == report.pivotal.a_star
+    assert partial > 0
+    announce(f"binary pivotal structure: PASS - 500/500 reports carry pivotal_binary, "
+             f"{partial} partial splits at A*'s threshold")
+
+
+def test_uniform_reports_carry_the_pivotal_structure(uniform_suite, announce):
+    for h, report in uniform_suite:
+        canon, _ = canonicalize_receiver(h)
+        try:
+            expected = pivotal_general(canon)
+        except NoConformist:
+            expected = None
+        assert report.pivotal == expected
+    announce("uniform pivotal structure: PASS - 200/200 reports carry pivotal_general")
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,6 @@ class TestClassifyBinary:
     def test_conformist_with_bias(self):
         c = classify_binary(quadratic_loss_table(F(-3, 5)), P)
         assert (c.kind, c.threshold) == (Kind.CONFORMIST, F(1, 5))
-        assert (c.bias_toward, c.bias_magnitude) == (1, F(2, 5))
 
     def test_contrarian(self):
         c = classify_binary(contrarian_table(F(1, 2)), P)

@@ -2,6 +2,7 @@
 efficiency verdicts."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -27,6 +28,7 @@ from infochain import (
     table_utility,
     zero_extremist_table,
 )
+from infochain.agents import RECEIVER
 from infochain.oracle import action_rule, outcome_value
 
 P = BinaryPrior(F(3, 5))
@@ -134,8 +136,9 @@ class TestSolveBinary:
     def test_extremist_receiver_full_info_constant_action(self):
         senders = [conformist_table(F(1, 4)), contrarian_table(F(1, 10))]
         r = solve_binary(hierarchy(senders, one_extremist_table(), P))
-        assert r.kind is EquilibriumKind.FULL_INFO
-        assert r.support == (F(0), F(1))
+        assert r.kind is EquilibriumKind.NO_INFO
+        assert r.support == (P.p,)
+        assert r.no_info_cause is NoInfoCause.OPPOSED
         # the receiver always acts 1, so everyone earns the constant-action value
         for u, v in zip([*senders, one_extremist_table()], r.values):
             assert v == P.p * u.u11 + (1 - P.p) * u.u01
@@ -229,3 +232,29 @@ class TestEfficiency:
             values.append(r.value_of("receiver"))
         assert values == sorted(values)
         assert len(set(values)) == len(values)
+
+
+class TestRelaxedChains:
+    def test_receiver_pivot_splits_answer_the_low_cell_with_action_0(self):
+        # With the receiver as pivot, a partial verdict leaves no sender
+        # opposed or conforming below her threshold, so the last sender gains
+        # nothing from action 1 at it.  Thresholds drawn from tenths collide.
+        rng = random.Random(11)
+        tenths = [F(k, 10) for k in range(1, 10)]
+
+        def agent(pool):
+            if rng.random() < 0.2:
+                return rng.choice([zero_extremist_table, one_extremist_table])()
+            return rng.choice([conformist_table, contrarian_table])(rng.choice(pool))
+
+        seen = 0
+        for _ in range(2000):
+            p = rng.choice(tenths)
+            pool = [t for t in tenths if t != p]
+            senders = [agent(pool) for _ in range(rng.randint(1, 5))]
+            receiver = rng.choice([conformist_table, contrarian_table])(rng.choice(pool))
+            r = solve_binary(hierarchy(senders, receiver, BinaryPrior(p), strict=False))
+            if r.kind is EquilibriumKind.PARTIAL and r.pivotal.a_star == RECEIVER:
+                seen += 1
+                assert r.tie_action == 0
+        assert seen > 0

@@ -250,6 +250,24 @@ class TestCommands:
         code, out = run_json(capsys, "compare", "--config", path, "--grid", 100)
         assert code == 0
 
+    @pytest.mark.parametrize("grid", [20, 100])
+    def test_compare_agrees_on_an_extremist_receiver(self, capsys, tmp_path, grid):
+        # a receiver who never reacts leaves every outcome silent
+        doc = {
+            "prior": {"kind": "binary", "p": "3/5"},
+            "senders": [{"model": "table", "params": {
+                "u00": "0", "u10": "-1", "u01": "-3/5", "u11": "2/5"}}],
+            "receiver": {"model": "table", "params": {
+                "u00": "2", "u10": "1", "u01": "0", "u11": "0"}},
+        }
+        path = tmp_path / "extremist.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, "compare", "--config", path, "--grid", grid)
+        assert code == 0
+        assert out["closed_form"]["kind"] == "no-info"
+        assert out["closed_form"]["cause"] == "opposed"
+        assert out["oracle"] == [["3/5"]]
+
     def test_vp_binary(self, capsys):
         code, doc = run_json(capsys, "vp", "--config", ORDERING)
         assert code == 0
