@@ -28,10 +28,8 @@ from .agents import (
     HierarchySpec,
     LinearUtility,
     Relabeling,
-    canonicalize_receiver,
     conformist_table,
     hierarchy,
-    receiver_class,
     relabel_utility,
 )
 from .binary_solver import EquilibriumReport, solve_binary
@@ -158,9 +156,12 @@ def _general_templates(
     h: HierarchySpec, before: GeneralEquilibriumReport
 ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Canonical ingredients for appointments: (receiver crossing, pivot
-    crossing, single-appointee toward-1 crossing, toward-0 crossing)."""
-    canon, _ = canonicalize_receiver(h)
-    w_r = receiver_class(canon).threshold
+    crossing, single-appointee toward-1 crossing, toward-0 crossing).  A
+    state flip reflects the receiver's crossing through 1/2; an action flip
+    keeps it."""
+    w_r = h.receiver.utility.crossing
+    if before.relabeling.flip_state:
+        w_r = 1 - w_r
     piv = before.pivotal
     w_p = piv.p_threshold
     toward1 = min(w_p, max(w_r / 2, piv.d_dstar_threshold))

@@ -11,7 +11,8 @@ independent route:
 * grid subgame-perfect equilibrium for the binary game,
 * exhaustive mean-pair search for the uniform-state game, each induced
   subgame answered by the grid equilibrium of a binary stand-in chain,
-* a pass-through (simple-equilibrium) check, read off the same level sets, and
+* a pass-through (simple-equilibrium) check, the same level-set recursion
+  run on the outcome's contraction cone, and
 * seeded Monte-Carlo signal propagation.
 
 Values are exact: a value table, and the pair search's candidates, hold
@@ -285,13 +286,16 @@ class IcChain:
     stricter set no intermediary would garble *regardless* of what later
     players tolerate — a strict subset in general, which is exactly why the
     recursion matters.  Both are built from ``masks`` and ``proof_mask`` on
-    first access, in the grid's ``cells()`` order.  ``actions`` is
+    first access, in the grid's ``cells()`` order.  ``proof_mask`` is itself
+    built on first read, from a fresh value table of each of seats n..2 of
+    ``h``: the equilibrium and the verifier never read it, so a chain that
+    is only solved pays for the levels alone.  ``actions`` is
     `_receiver_actions` of the grid, decided once per chain.
     """
 
+    h: HierarchySpec
     grid: OutcomeGrid
     masks: dict[int, list[list[bool]]]
-    proof_mask: list[list[bool]]
     actions: tuple[list[int], list[int]]
 
     def _outcomes(self, mask: list[list[bool]]) -> tuple[BinaryOutcome, ...]:
@@ -302,63 +306,85 @@ class IcChain:
         return {idx: self._outcomes(mask) for idx, mask in self.masks.items()}
 
     @cached_property
+    def proof_mask(self) -> list[list[bool]]:
+        """The garble-proof cells: no intermediary strictly prefers any
+        contraction, credible or not, over the cell itself."""
+        proof = [[True] * len(self.grid.q1s) for _ in self.grid.q0s]
+        for idx in range(self.h.n, 1, -1):
+            table = _value_table(self.h.senders[idx - 1].utility, self.actions, self.grid)
+            proof = [
+                [ok and v == c for v, ok, c in zip(*rows)]
+                for rows in zip(table, proof, _cone_max(table))
+            ]
+        return proof
+
+    @cached_property
     def garble_proof(self) -> tuple[BinaryOutcome, ...]:
         return self._outcomes(self.proof_mask)
 
 
-def _cone_max(table: list[list[Optional[int]]]) -> list[list[Optional[int]]]:
-    """M[i][j] = largest non-None entry over the contraction cone of cell
-    (i, j): cells with weakly higher q0 index and weakly lower q1 index."""
-    below: list[Optional[int]] = [None] * len(table[0])
-    m: list = [None] * len(table)
-    for i in range(len(table) - 1, -1, -1):
-        best: Optional[int] = None
+def _cone_max(table: list[list[int]]) -> list[list[int]]:
+    """M[i][j] = largest entry over the contraction cone of cell (i, j):
+    cells with weakly higher q0 index and weakly lower q1 index.
+
+    The running maximum starts from the silent corner's entry table[-1][0],
+    the floor.  That corner lies in every cone, so the floor never exceeds a
+    cone's true maximum and every M[i][j] is exact.  `_level_sets` fills the
+    cells outside a level with the floor, which is just as exact: every
+    silent cell (last row or first column) is in every level, because its
+    cone holds only silent cells, all worth the same.  So the corner is a
+    member of every cone, the maximum over the members is at least the
+    floor, and the filler never raises it."""
+    floor = table[-1][0]
+    below = [floor] * len(table[0])
+    m = []
+    for values in reversed(table):
+        best = floor
         row = []
-        for v, down in zip(table[i], below):
-            for c in (v, down):
-                if c is not None and (best is None or c > best):
-                    best = c
+        for v, down in zip(values, below):
+            if down > best:
+                best = down
+            if v > best:
+                best = v
             row.append(best)
-        m[i] = below = row
+        m.append(row)
+        below = row
+    m.reverse()
     return m
 
 
 def _level_sets(
     h: HierarchySpec, grid: OutcomeGrid, actions: tuple[list[int], list[int]], first_seat: int
-) -> Iterator[tuple[int, list[list[int]], list[list[bool]]]]:
-    """The level-set recursion, seat n down to first_seat: yields each seat,
-    its value table and the member mask of its level.  A cell stays in level k
-    when it is in level k+1 and seat k values it at least as much as every
-    cell of level k+1 in its contraction cone, so the masks only shrink.
-    ``actions`` is `_receiver_actions` of the grid."""
+) -> Iterator[tuple[int, list[list[bool]]]]:
+    """The level-set recursion, seat n down to first_seat: yields each seat
+    and the member mask of its level.  A cell stays in level k when it is in
+    level k+1 and seat k values it at least as much as every cell of level
+    k+1 in its contraction cone, so the masks only shrink.  ``actions`` is
+    `_receiver_actions` of the grid.  Cells outside level k+1 enter the cone
+    maximum as the silent value table[-1][0], which is exact (`_cone_max`)."""
     member = [[True] * len(grid.q1s) for _ in grid.q0s]
     for idx in range(h.n, first_seat - 1, -1):
         table = _value_table(h.senders[idx - 1].utility, actions, grid)
+        floor = table[-1][0]
         ceiling = _cone_max(
-            [[v if m else None for v, m in zip(*rows)] for rows in zip(table, member)]
+            [[v if m else floor for v, m in zip(*rows)] for rows in zip(table, member)]
         )
         member = [
             [m and v == c for v, m, c in zip(*rows)] for rows in zip(table, member, ceiling)
         ]
-        yield idx, table, member
+        yield idx, member
 
 
 def ic_chain(h: HierarchySpec, grid: OutcomeGrid) -> IcChain:
-    """Build the level-set chain for a binary-state hierarchy on the grid."""
+    """Build the level-set chain for a binary-state hierarchy on the grid:
+    one value table per seat n..2; the garble-proof set waits until read."""
     actions = _receiver_actions(h, grid)
-    proof = [[True] * len(grid.q1s) for _ in grid.q0s]
     masks: dict[int, list[list[bool]]] = {}
-    for idx, table, member in _level_sets(h, grid, actions, 2):
-        # garble-proof set: no intermediary strictly prefers any contraction,
-        # credible or not, over the outcome itself
-        proof = [
-            [ok and v == c for v, ok, c in zip(*rows)]
-            for rows in zip(table, proof, _cone_max(table))
-        ]
+    for idx, member in _level_sets(h, grid, actions, 2):
         if not any(map(any, member)):
             raise EmptyLevelSet(f"level {idx} is empty")
         masks[idx] = member
-    return IcChain(grid=grid, masks=masks, proof_mask=proof, actions=actions)
+    return IcChain(h=h, grid=grid, masks=masks, actions=actions)
 
 
 def solve_spe_grid(
@@ -418,12 +444,33 @@ def _passed_unchanged(h: HierarchySpec, grid: OutcomeGrid, first_seat: int, cell
     cell unchanged: what they deliver from c is the Blackwell-maximal argmax of
     seat first_seat's value over level first_seat+1 within c's contraction
     cone, so c comes out unchanged exactly when it lies in level first_seat.
-    The masks only shrink, so the scan stops at the first seat that drops c."""
+    The masks only shrink, so the scan stops at the first seat that drops c.
+
+    The recursion runs on c's cone alone: the sub-grid with axes
+    q0s[i:] and q1s[:j + 1], in which c = (i, j) is cell (0, j).  Exact:
+
+    * The cone of (i, j) is rows i.. times columns ..j, and the cone of any
+      cell inside it stays inside it.  Whether a cell is in level k depends
+      on its membership in level k+1 and on the cells of level k+1 in its
+      cone, so by induction from seat n, c's membership in every level
+      depends only on the cells of c's cone.
+    * The sub-grid keeps the prior (it closes q0s[i:] and opens q1s[:j + 1]),
+      so its silent cells are the cone's silent cells.  The receiver's action
+      is decided per coordinate, so each coordinate keeps its action.
+    * Each `_value_table` entry is d * L * (the cell's value), where d and L
+      depend on which coordinates occur, so a sub-grid table is the full
+      table restricted to the cone, times one positive constant.  Every
+      comparison the recursion makes is between entries of one table.
+
+    So every comparison, and every member mask, is the full grid's one
+    restricted to the cone.  The uniform verifier asks about (0, last) of
+    the whole stand-in grid, whose cone is the grid itself."""
     if first_seat > h.n:
         return True  # no seat is left to garble c, and no tie rule to build
     i, j = cell
-    actions = _receiver_actions(h, grid)
-    return all(member[i][j] for _, _, member in _level_sets(h, grid, actions, first_seat))
+    cone = OutcomeGrid(grid.prior, grid.q0s[i:], grid.q1s[:j + 1])
+    actions = _receiver_actions(h, cone)
+    return all(member[0][j] for _, member in _level_sets(h, cone, actions, first_seat))
 
 
 def _verify_binary_pass_through(

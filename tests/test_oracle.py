@@ -53,7 +53,7 @@ from infochain import (
 from infochain import oracle
 from infochain.cli import ingest, main
 from infochain.oracle import action_rule, outcome_value
-from test_acceptance import _random_uniform_game
+from test_acceptance import _random_binary_game, _random_uniform_game
 
 P = BinaryPrior(F(3, 5))
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -147,6 +147,43 @@ class TestLevelSets:
         ch = ic_chain(h, grid20)
         assert set(ch.levels[2]) == set(grid20.outcomes)
         assert set(ch.garble_proof) <= set(ch.levels[2])
+
+    def test_cone_max_matches_a_brute_force_maximum(self):
+        # small value ranges make ties common; the floor at the silent corner
+        # is exact because that corner lies in every cone
+        rng = random.Random(12)
+        for _ in range(300):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            table = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+            want = [[max(table[a][b] for a in range(i, rows) for b in range(j + 1))
+                     for j in range(cols)] for i in range(rows)]
+            assert oracle._cone_max(table) == want, table
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_proof_set_is_built_only_when_read(self, monkeypatch, grid20, n):
+        # the levels need one value table and one cone maximum per seat
+        # n..2; the garble-proof set builds its own, and only when read
+        senders = [conformist_table(F(k, 20)) for k in (3, 5, 7, 9)[:n]]
+        h = hierarchy(senders, conformist_table(F(2, 5)), P)
+        want = ic_chain(h, grid20).proof_mask
+        calls = []
+
+        def counting(name):
+            inner = getattr(oracle, name)
+
+            def counted(*args):
+                calls.append(name)
+                return inner(*args)
+
+            monkeypatch.setattr(oracle, name, counted)
+
+        counting("_value_table")
+        counting("_cone_max")
+        ch = ic_chain(h, grid20)
+        assert len(ch.levels) == n - 1
+        assert (calls.count("_value_table"), calls.count("_cone_max")) == (n - 1, n - 1)
+        assert ch.proof_mask == want
+        assert (calls.count("_value_table"), calls.count("_cone_max")) == (2 * n - 2, 2 * n - 2)
 
 
 class TestGridEquilibria:
@@ -720,6 +757,25 @@ class TestVerifySimple:
                 assert verdict == naive(h, grid, c), (h, c)
                 verdicts.add(verdict)
         assert verdicts == {True, False}
+
+    def test_cone_verdicts_match_the_full_level_mask(self):
+        # the verifier runs the recursion on the cell's contraction cone; on
+        # every cell of each grid, silent ones included, its verdict is the
+        # full grid's level-2 mask, and a lone sender passes everything
+        rng = random.Random(2030)
+        verdicts, lone = set(), 0
+        for _ in range(40):
+            h = _random_binary_game(rng)
+            lone += h.n == 1
+            for resolution in (20, 30):
+                grid = build_grid(h.prior, resolution)
+                masks = ic_chain(h, grid).masks
+                for i in range(len(grid.q0s)):
+                    for j in range(len(grid.q1s)):
+                        want = masks[2][i][j] if h.n > 1 else True
+                        assert oracle._passed_unchanged(h, grid, 2, (i, j)) == want, (h, i, j)
+                        verdicts.add(want)
+        assert lone and verdicts == {True, False}
 
     def test_weights_must_match_the_support(self):
         # the closed-form outcome of the shipped config passes; the same
