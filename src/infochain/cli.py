@@ -412,22 +412,13 @@ def _cmd_oracle(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
         grid = build_grid(h.prior, cfg.grid)
         chain = ic_chain(h, grid)
         sols = solve_spe_grid(h, grid, chain)
-        # the garble-proof set builds its value tables on first read: read it
-        # before the cell list exists, so the two do not add up in memory
-        proof = chain.proof_mask
-        # count the masks over cells(), which lists each distinct outcome once,
-        # rather than building the outcomes of chain.levels only to count them
-        cells = grid.cells()
-
-        def size(mask: list[list[bool]]) -> int:
-            return sum(mask[i][j] for i, j in cells)
-
+        # the level sets count their masks and build no outcome
         report = {
             "game": "binary",
             "grid": cfg.grid,
             "spe": [_nums(o.support()) for o in sols],
-            "pass_levels": {str(k): size(m) for k, m in sorted(chain.masks.items())},
-            "garble_proof_size": size(proof),
+            "pass_levels": {str(k): len(v) for k, v in sorted(chain.levels.items())},
+            "garble_proof_size": len(chain.garble_proof),
         }
     else:
         sols = solve_general_grid(h, cfg.grid)

@@ -8,6 +8,8 @@ independent route:
   of incentive-compatibility level sets (which outcomes each intermediary
   would pass along, given what later intermediaries will pass), computed on
   cell indices (i, j) into those axes with one integer value table per seat,
+  over the grid's informative core (`_core`, which drops the cells whose
+  posteriors the receiver answers as she would the prior),
 * grid subgame-perfect equilibrium for the binary game,
 * exhaustive mean-pair search for the uniform-state game, each induced
   subgame answered by the grid equilibrium of a binary stand-in chain,
@@ -82,6 +84,9 @@ def _axes(p: Fraction, points: Iterable[Fraction]) -> tuple[tuple[Fraction, ...]
 
 
 Cell = tuple[int, int]
+Mask = list[list[bool]]
+#: the receiver's action at each ``q0s`` and at each ``q1s`` coordinate
+Actions = tuple[list[int], list[int]]
 
 
 @dataclass(eq=False)
@@ -104,9 +109,9 @@ class OutcomeGrid:
         return [(i, j) for i in range(ni - 1) for j in range(1, nj)] + [(ni - 1, 0)]
 
     @property
-    def outcomes(self) -> tuple[BinaryOutcome, ...]:
-        """The outcome of each of ``cells()``, built on every call."""
-        return self.outcomes_at(self.cells())
+    def outcomes(self) -> Outcomes:
+        """The outcome of each of ``cells()``, as a fresh `Outcomes` view."""
+        return Outcomes(self)
 
     def outcomes_at(self, cells: Sequence[Cell]) -> tuple[BinaryOutcome, ...]:
         """The outcome of each of the given cells, built on every call."""
@@ -124,6 +129,37 @@ class OutcomeGrid:
         if i < ni - 1 and j < nj and (self.q0s[i], self.q1s[j]) == (outcome.q0, outcome.q1):
             return (i, j)
         return None
+
+
+class Outcomes(Sequence[BinaryOutcome]):
+    """The outcomes of the cells of ``grid`` that ``mask`` holds (every cell
+    when there is no mask), one per distinct outcome in ``cells()`` order.
+
+    ``len`` counts the mask, which holds each distinct outcome once outside
+    its last row and first column and the silent one at the corner, and
+    builds nothing.  The outcomes are built on first iteration or indexing,
+    once per view."""
+
+    def __init__(self, grid: OutcomeGrid, mask: Optional[Mask] = None) -> None:
+        self.grid, self.mask = grid, mask
+
+    def __len__(self) -> int:
+        if self.mask is None:
+            return (len(self.grid.q0s) - 1) * (len(self.grid.q1s) - 1) + 1
+        return sum(sum(row) - row[0] for row in self.mask[:-1]) + self.mask[-1][0]
+
+    @cached_property
+    def _built(self) -> tuple[BinaryOutcome, ...]:
+        cells = self.grid.cells()
+        if self.mask is not None:
+            cells = [(i, j) for i, j in cells if self.mask[i][j]]
+        return self.grid.outcomes_at(cells)
+
+    def __getitem__(self, k):
+        return self._built[k]
+
+    def __iter__(self) -> Iterator[BinaryOutcome]:
+        return iter(self._built)
 
 
 def build_grid(prior: BinaryPrior, resolution: int) -> OutcomeGrid:
@@ -201,16 +237,14 @@ def outcome_value(u: TableUtility, out: BinaryOutcome, act: Callable[[Fraction],
     return total
 
 
-def _receiver_actions(h: HierarchySpec, grid: OutcomeGrid) -> tuple[list[int], list[int]]:
+def _receiver_actions(h: HierarchySpec, grid: OutcomeGrid) -> Actions:
     """The receiver's action at each ``q0s`` and at each ``q1s`` coordinate,
     each decided once per chain."""
     act = action_rule(h)
     return [act(q) for q in grid.q0s], [act(q) for q in grid.q1s]
 
 
-def _value_table(
-    u: TableUtility, actions: tuple[list[int], list[int]], grid: OutcomeGrid
-) -> list[list[int]]:
+def _value_table(u: TableUtility, actions: Actions, grid: OutcomeGrid) -> list[list[int]]:
     """c * `outcome_value` of every cell, as exact integers, for one constant
     c > 0 per table; ``actions`` is `_receiver_actions` of the grid.
 
@@ -275,52 +309,121 @@ def _value_table(
 # incentive-compatibility chain
 # ---------------------------------------------------------------------------
 
+def _core(
+    grid: OutcomeGrid, actions: Actions
+) -> tuple[OutcomeGrid, Actions, Callable[[Mask], Mask]]:
+    """The grid's informative core, the receiver's actions on it, and the map
+    from a level or garble-proof mask over the core to the same mask over the
+    grid.  ``actions`` is `_receiver_actions` of the grid.
+
+    Call a coordinate *prior-like* when the receiver answers it with her
+    action at the prior, a(p), and a cell *flat* when both its coordinates
+    are.  The core drops every prior-like coordinate but p.  When some
+    ``q1s`` coordinate is not prior-like it keeps every row, and the columns
+    of p and of those coordinates; otherwise it keeps every column, and the
+    rows of p and of the ``q0s`` coordinates that are not prior-like (p
+    alone on a grid the receiver answers with one action).  Exact:
+
+    * The receiver's action is a step in q: her gain is affine, so its sign
+      moves one way only along q, and the tie rule picks one action at the
+      crossing.  So the coordinates that are not prior-like lie on one side
+      of p only, a prefix of ``q0s`` or a suffix of ``q1s``, and every cell
+      the core drops is flat.  The core keeps the prior, and the kept
+      coordinates keep their order, so its silent cells are the grid's.
+    * For a flat cell (q0, q1), a(q) = a(p) for every q0 <= q <= q1: a step
+      that agrees at both ends agrees between them.  Payoffs are linear in
+      q, so every seat values the cell at its payoff at p under a(p), which
+      is the silent value table[-1][0], the floor.
+    * Every cell in a flat cell's contraction cone has its coordinates
+      between the flat cell's, so it is flat and worth the floor too.  A flat
+      cell is thus worth its cone's maximum over any subset of the cone that
+      holds it, so by induction from seat n it is in every level, and it is
+      garble-proof: the dropped cells are True in every mask.
+    * The core keeps the prior and each kept coordinate's action, so, by
+      `_passed_unchanged`'s argument, each of its value tables is the grid's
+      restricted to the core, times one positive constant.
+    * A kept cell's cone in the grid is its cone in the core plus dropped
+      cells, which are in every level and worth the floor.  Its cone in the
+      core holds the silent corner, which is in every level and worth the
+      floor as well, so the dropped cells raise no cone maximum, over a
+      level or over the whole cone.  So every kept cell's member and
+      garble-proof masks are the grid's.
+
+    The expansion thus copies the core's masks and fills the dropped cells
+    with True: a ``[True] * len(q1s)`` row per dropped row, or each core row
+    with the dropped columns put after its first entry (the silent column,
+    True in every mask)."""
+    lows, highs = actions
+    at_p = lows[-1]
+    ni, nj = len(grid.q0s), len(grid.q1s)
+    top = nj - highs[::-1].index(at_p)  # q1s[top:] are not prior-like
+    if top < nj:
+        core = OutcomeGrid(grid.prior, grid.q0s, grid.q1s[:1] + grid.q1s[top:])
+
+        def expand(mask: Mask) -> Mask:
+            return [[True] * top + row[1:] for row in mask]
+
+        return core, (lows, highs[:1] + highs[top:]), expand
+    k = lows.index(at_p)  # q0s[:k] are not prior-like
+    core = OutcomeGrid(grid.prior, grid.q0s[:k] + grid.q0s[-1:], grid.q1s)
+
+    def expand(mask: Mask) -> Mask:
+        return mask[:-1] + [[True] * nj for _ in range(ni - 1 - k)] + mask[-1:]
+
+    return core, (lows[:k] + lows[-1:], highs), expand
+
+
 @dataclass(eq=False)
 class IcChain:
     """Level sets of outcomes each intermediary passes along, held as cell
-    masks over the grid.
+    masks over the grid's informative core (`_core`).
 
     ``levels[i]`` holds the outcomes sender i would deliver unchanged given
     that senders i+1..n behave likewise (computed back from the receiver);
     level sets shrink toward the front of the chain.  ``garble_proof`` is the
     stricter set no intermediary would garble *regardless* of what later
     players tolerate — a strict subset in general, which is exactly why the
-    recursion matters.  Both are built from ``masks`` and ``proof_mask`` on
-    first access, in the grid's ``cells()`` order.  ``proof_mask`` is itself
-    built on first read, from a fresh value table of each of seats n..2 of
-    ``h``: the equilibrium and the verifier never read it, so a chain that
-    is only solved pays for the levels alone.  ``actions`` is
-    `_receiver_actions` of the grid, decided once per chain.
+    recursion matters.  Both are `Outcomes` views, in the grid's ``cells()``
+    order, of ``masks`` and ``proof_mask``: the masks over the whole grid,
+    expanded from the core's on first read.  ``proof_mask`` is itself built
+    on first read, from a fresh value table of each of seats n..2 of ``h``
+    on the core: the equilibrium and the verifier never read it, so a chain
+    that is only solved pays for the levels alone.  ``core_masks`` are the
+    level masks over ``core``, ``actions`` is `_receiver_actions` of the
+    core, decided once per chain, and ``expand`` is `_core`'s expansion.
     """
 
     h: HierarchySpec
     grid: OutcomeGrid
-    masks: dict[int, list[list[bool]]]
-    actions: tuple[list[int], list[int]]
-
-    def _outcomes(self, mask: list[list[bool]]) -> tuple[BinaryOutcome, ...]:
-        return self.grid.outcomes_at([(i, j) for i, j in self.grid.cells() if mask[i][j]])
-
-    @cached_property
-    def levels(self) -> dict[int, tuple[BinaryOutcome, ...]]:
-        return {idx: self._outcomes(mask) for idx, mask in self.masks.items()}
+    core: OutcomeGrid
+    actions: Actions
+    core_masks: dict[int, Mask]
+    expand: Callable[[Mask], Mask]
 
     @cached_property
-    def proof_mask(self) -> list[list[bool]]:
+    def masks(self) -> dict[int, Mask]:
+        return {idx: self.expand(mask) for idx, mask in self.core_masks.items()}
+
+    @cached_property
+    def levels(self) -> dict[int, Outcomes]:
+        return {idx: Outcomes(self.grid, mask) for idx, mask in self.masks.items()}
+
+    @cached_property
+    def proof_mask(self) -> Mask:
         """The garble-proof cells: no intermediary strictly prefers any
         contraction, credible or not, over the cell itself."""
-        proof = [[True] * len(self.grid.q1s) for _ in self.grid.q0s]
+        proof = [[True] * len(self.core.q1s) for _ in self.core.q0s]
         for idx in range(self.h.n, 1, -1):
-            table = _value_table(self.h.senders[idx - 1].utility, self.actions, self.grid)
+            table = _value_table(self.h.senders[idx - 1].utility, self.actions, self.core)
             proof = [
                 [ok and v == c for v, ok, c in zip(*rows)]
                 for rows in zip(table, proof, _cone_max(table))
             ]
-        return proof
+        return self.expand(proof)
 
     @cached_property
-    def garble_proof(self) -> tuple[BinaryOutcome, ...]:
-        return self._outcomes(self.proof_mask)
+    def garble_proof(self) -> Outcomes:
+        return Outcomes(self.grid, self.proof_mask)
 
 
 def _cone_max(table: list[list[int]]) -> list[list[int]]:
@@ -354,8 +457,8 @@ def _cone_max(table: list[list[int]]) -> list[list[int]]:
 
 
 def _level_sets(
-    h: HierarchySpec, grid: OutcomeGrid, actions: tuple[list[int], list[int]], first_seat: int
-) -> Iterator[tuple[int, list[list[bool]]]]:
+    h: HierarchySpec, grid: OutcomeGrid, actions: Actions, first_seat: int
+) -> Iterator[tuple[int, Mask]]:
     """The level-set recursion, seat n down to first_seat: yields each seat
     and the member mask of its level.  A cell stays in level k when it is in
     level k+1 and seat k values it at least as much as every cell of level
@@ -377,14 +480,15 @@ def _level_sets(
 
 def ic_chain(h: HierarchySpec, grid: OutcomeGrid) -> IcChain:
     """Build the level-set chain for a binary-state hierarchy on the grid:
-    one value table per seat n..2; the garble-proof set waits until read."""
-    actions = _receiver_actions(h, grid)
-    masks: dict[int, list[list[bool]]] = {}
-    for idx, member in _level_sets(h, grid, actions, 2):
+    one value table per seat n..2, each over the grid's informative core
+    (`_core`); the garble-proof set waits until read."""
+    core, actions, expand = _core(grid, _receiver_actions(h, grid))
+    masks: dict[int, Mask] = {}
+    for idx, member in _level_sets(h, core, actions, 2):
         if not any(map(any, member)):
             raise EmptyLevelSet(f"level {idx} is empty")
         masks[idx] = member
-    return IcChain(h=h, grid=grid, masks=masks, actions=actions)
+    return IcChain(h=h, grid=grid, core=core, actions=actions, core_masks=masks, expand=expand)
 
 
 def solve_spe_grid(
@@ -395,25 +499,28 @@ def solve_spe_grid(
     """Equilibrium outcomes of the grid game: player 1's best pick among what
     the rest of the chain will pass, keeping only the Blackwell-maximal
     elements of the argmax (less informative payoff-ties are discarded).
-    ``chain``, when given, must be ``ic_chain(h, grid)``."""
+    ``chain``, when given, must be ``ic_chain(h, grid)``.
+
+    The argmax runs over the level-2 cells of the chain's core (`_core`).
+    The cells the core drops are those whose two posteriors the receiver
+    answers with her action at the prior: informative in name only, each is
+    worth the silent value to player 1 too, so the silent corner, which the
+    core keeps, stands for them all, and every kept informative cell really
+    moves her action."""
     if chain is None:
         chain = ic_chain(h, grid)
-    cells = grid.cells()
-    if 2 in chain.masks:
-        member = chain.masks[2]
+    core = chain.core
+    cells = core.cells()
+    if 2 in chain.core_masks:
+        member = chain.core_masks[2]
         cells = [(i, j) for i, j in cells if member[i][j]]
     if not cells:
         raise EmptyLevelSet("no passable outcome for player 1")
-    low, high = chain.actions
-    value = _value_table(h.senders[0].utility, chain.actions, grid)
+    value = _value_table(h.senders[0].utility, chain.actions, core)
     best = max(value[i][j] for i, j in cells)
-    # cells the receiver answers with one constant action are informative in
-    # name only; report them as the silent corner they are worth
-    silent = (len(grid.q0s) - 1, 0)
-    arg = [silent if low[i] == high[j] == low[-1] else (i, j)
-           for i, j in cells if value[i][j] == best]
+    arg = [(i, j) for i, j in cells if value[i][j] == best]
     # cells are ordered like their coordinates, so the staircase runs on them
-    return list(grid.outcomes_at(_staircase(arg)))
+    return list(core.outcomes_at(_staircase(arg)))
 
 
 def _staircase(items, interval=lambda item: item) -> list:
@@ -464,13 +571,23 @@ def _passed_unchanged(h: HierarchySpec, grid: OutcomeGrid, first_seat: int, cell
 
     So every comparison, and every member mask, is the full grid's one
     restricted to the cone.  The uniform verifier asks about (0, last) of
-    the whole stand-in grid, whose cone is the grid itself."""
+    the whole stand-in grid, whose cone is the grid itself.
+
+    Within the cone the recursion runs on the cone's core (`_core`).  A cell
+    the receiver answers with one action is flat (her action is a step, so
+    that action is a(p)): it is in every level and passes at once.  Any other cell is in the core, which keeps every
+    coordinate that is not prior-like and the whole other axis, so c is the
+    core's cell (0, last column), and its masks are the cone's."""
     if first_seat > h.n:
         return True  # no seat is left to garble c, and no tie rule to build
     i, j = cell
     cone = OutcomeGrid(grid.prior, grid.q0s[i:], grid.q1s[:j + 1])
-    actions = _receiver_actions(h, cone)
-    return all(member[0][j] for _, member in _level_sets(h, cone, actions, first_seat))
+    lows, highs = actions = _receiver_actions(h, cone)
+    if lows[0] == highs[-1]:
+        return True
+    core, actions, _ = _core(cone, actions)
+    last = len(core.q1s) - 1
+    return all(member[0][last] for _, member in _level_sets(h, core, actions, first_seat))
 
 
 def _verify_binary_pass_through(

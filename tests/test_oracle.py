@@ -20,6 +20,7 @@ from infochain import (
     BinaryOutcome,
     BinaryPrior,
     ChainError,
+    HierarchySpec,
     IntervalCut,
     NotCovered,
     OutcomeGrid,
@@ -57,6 +58,7 @@ from test_acceptance import _random_binary_game, _random_uniform_game
 
 P = BinaryPrior(F(3, 5))
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+HUNDREDTHS = [F(k, 100) for k in range(1, 100)]
 
 
 def support_set(outcomes):
@@ -297,8 +299,135 @@ class TestOutcomesOnlyAtTheBoundary:
         monkeypatch.undo()
         h = ingest(CONFIGS / config)
         chain = ic_chain(h, build_grid(h.prior, resolution))
-        assert doc["pass_levels"] == {str(k): len(v) for k, v in sorted(chain.levels.items())}
-        assert doc["garble_proof_size"] == len(chain.garble_proof)
+        levels = sorted(chain.levels.items())
+        assert doc["pass_levels"] == {str(k): len(tuple(v)) for k, v in levels}
+        assert doc["garble_proof_size"] == len(tuple(chain.garble_proof))
+
+
+def _core_stress_games(rng, resolution, count):
+    """Random binary games whose receivers stress the core: extremists, who
+    answer the whole grid with one action; conformists and contrarians with
+    thresholds on the 1/G lattice, where the tie rule fires, off it, or
+    exactly at the prior.  Built unvalidated, since `hierarchy` refuses a
+    threshold at the prior; the oracle reads only the utilities."""
+    kinds = [conformist_table, contrarian_table, zero_extremist_table, one_extremist_table]
+    lattice = [F(k, resolution) for k in range(1, resolution)]
+    games = []
+    for g in range(count):
+        p = rng.choice([q for q in lattice + HUNDREDTHS if F(1, 5) <= q <= F(4, 5)])
+        senders = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(kinds)
+            senders.append(kind(rng.choice(lattice)) if kind in kinds[:2] else kind())
+        kind, where = kinds[g % 4], g // 4 % 3
+        if kind in kinds[2:]:
+            receiver = kind()
+        else:
+            receiver = kind(p if where == 0 else rng.choice(lattice if where == 1 else HUNDREDTHS))
+        games.append(HierarchySpec(tuple(map(AgentSpec, senders)), AgentSpec(receiver),
+                                   BinaryPrior(p)))
+    return games
+
+
+class TestInformativeCore:
+    """The oracle works on the grid's informative core (`oracle._core`); a
+    reference recursion on the whole grid must give the same answers."""
+
+    @staticmethod
+    def full_grid_reference(h, grid):
+        """Level masks, garble-proof mask and SPE of the whole grid, with
+        every table and cone maximum over every cell."""
+        actions = oracle._receiver_actions(h, grid)
+        tables = {k: oracle._value_table(h.senders[k - 1].utility, actions, grid)
+                  for k in range(1, h.n + 1)}
+        member = [[True] * len(grid.q1s) for _ in grid.q0s]
+        proof = [[True] * len(grid.q1s) for _ in grid.q0s]
+        masks = {}
+        for k in range(h.n, 1, -1):
+            table, floor = tables[k], tables[k][-1][0]
+            ceiling = oracle._cone_max(
+                [[v if m else floor for v, m in zip(*rows)] for rows in zip(table, member)]
+            )
+            member = [[m and v == c for v, m, c in zip(*rows)]
+                      for rows in zip(table, member, ceiling)]
+            masks[k] = member
+            proof = [[ok and v == c for v, ok, c in zip(*rows)]
+                     for rows in zip(table, proof, oracle._cone_max(table))]
+        lows, highs = actions
+        cells = [(i, j) for i, j in grid.cells() if h.n == 1 or masks[2][i][j]]
+        value = tables[1]
+        best = max(value[i][j] for i, j in cells)
+        silent = (len(grid.q0s) - 1, 0)
+        arg = grid.outcomes_at([silent if lows[i] == highs[j] == lows[-1] else (i, j)
+                                for i, j in cells if value[i][j] == best])
+        return masks, proof, blackwell_maximal(arg)
+
+    @pytest.mark.parametrize("resolution", [10, 20, 30, 37])
+    def test_matches_the_full_grid_recursion(self, resolution):
+        rng = random.Random(resolution)
+        shapes = set()
+        for h in _core_stress_games(rng, resolution, 24):
+            grid = build_grid(h.prior, resolution)
+            masks, proof, spe = self.full_grid_reference(h, grid)
+            chain = ic_chain(h, grid)
+            ni, nj = len(chain.core.q0s), len(chain.core.q1s)
+            shapes.add("constant" if ni == 1 else "rows" if ni < len(grid.q0s)
+                       else "columns" if nj < len(grid.q1s) else "whole")
+            assert chain.masks == masks, h
+            assert chain.proof_mask == proof, h
+            assert solve_spe_grid(h, grid, chain) == spe, h
+            for i in range(len(grid.q0s)):
+                for j in range(len(grid.q1s)):
+                    want = masks[2][i][j] if h.n > 1 else True
+                    assert oracle._passed_unchanged(h, grid, 2, (i, j)) == want, (h, i, j)
+        assert {"constant", "rows", "columns"} <= shapes
+
+    def test_tables_are_built_on_the_core_only(self, monkeypatch):
+        # every value table of the levels, the garble-proof set and the
+        # equilibrium has the core's shape, which is smaller than the grid
+        rng = random.Random(5)
+        sizes = []
+        inner = oracle._value_table
+
+        def counted(u, actions, grid):
+            sizes.append((len(grid.q0s), len(grid.q1s)))
+            return inner(u, actions, grid)
+
+        smaller = 0
+        for h in _core_stress_games(rng, 30, 12):
+            grid = build_grid(h.prior, 30)
+            core, _, _ = oracle._core(grid, oracle._receiver_actions(h, grid))
+            shape = (len(core.q0s), len(core.q1s))
+            smaller += shape != (len(grid.q0s), len(grid.q1s))
+            monkeypatch.setattr(oracle, "_value_table", counted)
+            chain = ic_chain(h, grid)
+            chain.proof_mask
+            solve_spe_grid(h, grid, chain)
+            monkeypatch.undo()
+            assert sizes == [shape] * (2 * h.n - 1), h
+            sizes.clear()
+        assert smaller
+
+    def test_counting_builds_no_outcome(self, monkeypatch, chain, grid20):
+        # len counts the mask; the outcomes are built on first iteration
+        h, _ = chain
+        built = []
+        inner = OutcomeGrid.outcomes_at
+
+        def counted(grid, cells):
+            built.append(len(cells))
+            return inner(grid, cells)
+
+        monkeypatch.setattr(OutcomeGrid, "outcomes_at", counted)
+        ch = ic_chain(h, grid20)
+        views = [*ch.levels.values(), ch.garble_proof, grid20.outcomes]
+        sizes = [len(view) for view in views]
+        assert built == []
+        assert sizes == [len(tuple(view)) for view in views]
+        assert built == sizes
+        # each view builds its outcomes once
+        assert [len(tuple(view)) for view in views] == sizes
+        assert built == sizes
 
 
 class TestIntegerTables:
