@@ -301,6 +301,13 @@ def _sig(x) -> str:
     return format(float(x), ".12g")
 
 
+def _csv_text(rows) -> str:
+    """The rows as CSV, one line each, newline-terminated."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def _relabeling_doc(rel) -> dict:
     return {"flip_action": rel.flip_action, "flip_state": rel.flip_state}
 
@@ -370,24 +377,19 @@ CommandResult = tuple[int, dict, dict[str, str]]
 
 
 def _cmd_classify(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
-    agents = []
-    labels = h.labels
-    for seat, (spec, cls) in enumerate(zip(h.senders, sender_classes(h)), start=1):
-        agents.append({
+    seats = [*range(1, h.n + 1), "receiver"]
+    specs = [*h.senders, h.receiver]
+    classes = [*sender_classes(h), receiver_class(h)]
+    agents = [
+        {
             "seat": seat,
-            "label": labels[seat - 1],
+            "label": label,
             "model": agent_doc(spec)["model"],
             "kind": cls.kind.value,
             "threshold": str(cls.threshold) if cls.threshold is not None else None,
-        })
-    rc = receiver_class(h)
-    agents.append({
-        "seat": "receiver",
-        "label": labels[-1],
-        "model": agent_doc(h.receiver)["model"],
-        "kind": rc.kind.value,
-        "threshold": str(rc.threshold) if rc.threshold is not None else None,
-    })
+        }
+        for seat, spec, cls, label in zip(seats, specs, classes, h.labels)
+    ]
     report: dict = {"agents": agents}
     try:
         report["relabeling"] = _relabeling_doc(canonicalize_receiver(h)[1])
@@ -502,14 +504,12 @@ def _cmd_simulate(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
         "equilibrium_support": _nums(r.support),
         "rows": rows,
     }
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["label", "analytic", "empirical", "stderr", "z"])
-    for row in rows:
-        writer.writerow([row["label"], _sig(row["analytic_float"]),
-                         _sig(row["empirical"]), _sig(row["stderr"]),
-                         "" if row["z"] is None else _sig(row["z"])])
-    return 0, report, {"simulate.csv": out.getvalue()}
+    table = _csv_text([["label", "analytic", "empirical", "stderr", "z"]] + [
+        [row["label"], _sig(row["analytic_float"]), _sig(row["empirical"]),
+         _sig(row["stderr"]), "" if row["z"] is None else _sig(row["z"])]
+        for row in rows
+    ])
+    return 0, report, {"simulate.csv": table}
 
 
 def _cmd_curve(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
@@ -541,13 +541,12 @@ def _cmd_curve(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
         "argmax_value": str(best[0]),
         "rows": rows,
     }
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["m0", "m1", "player1_value", "subgame_kind"])
-    for row in rows:
-        writer.writerow([_sig(Fraction(row["m0"])), _sig(Fraction(row["m1"])),
-                         _sig(row["player1_value_float"]), row["subgame_kind"]])
-    return 0, report, {"curve.csv": out.getvalue()}
+    table = _csv_text([["m0", "m1", "player1_value", "subgame_kind"]] + [
+        [_sig(Fraction(row["m0"])), _sig(Fraction(row["m1"])),
+         _sig(row["player1_value_float"]), row["subgame_kind"]]
+        for row in rows
+    ])
+    return 0, report, {"curve.csv": table}
 
 
 _COMMANDS: dict[str, Callable[[HierarchySpec, RunConfig], CommandResult]] = {
@@ -577,9 +576,7 @@ _INPUT_ERRORS = (
 
 def _csv_view(report: dict) -> str:
     """Flatten a report into key,value rows for --format csv consumers."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["key", "value"])
+    rows = [["key", "value"]]
 
     def walk(prefix: str, node) -> None:
         if isinstance(node, dict):
@@ -589,11 +586,10 @@ def _csv_view(report: dict) -> str:
             for i, sub in enumerate(node):
                 walk(f"{prefix}[{i}]", sub)
         else:
-            value = node if isinstance(node, str) else json.dumps(node)
-            writer.writerow([prefix, value])
+            rows.append([prefix, node if isinstance(node, str) else json.dumps(node)])
 
     walk("", report)
-    return out.getvalue()
+    return _csv_text(rows)
 
 
 def _emit(text: str) -> None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
     HALF,
@@ -48,9 +48,6 @@ from .core import (
     outcome_of_experiment,
 )
 from .agents import HierarchySpec, LinearUtility, TableUtility, Utility
-
-if TYPE_CHECKING:
-    import numpy as np  # for annotations; Monte Carlo imports it when it runs
 
 
 class ResolutionTooCoarse(ChainError):
@@ -590,27 +587,6 @@ def _passed_unchanged(h: HierarchySpec, grid: OutcomeGrid, first_seat: int, cell
     return all(member[0][last] for _, member in _level_sets(h, core, actions, first_seat))
 
 
-def _verify_binary_pass_through(
-    h: HierarchySpec,
-    outcome: BinaryOutcome,
-    grid: OutcomeGrid,
-) -> bool:
-    if outcome.p != grid.prior.p:
-        return False
-    # (i) the outcome is realizable as player 1's experiment (identity
-    # pass-through composes to the same experiment); weights off the support's
-    # Bayes-plausible ones can invert to no experiment at all
-    try:
-        if outcome_of_experiment(grid.prior, experiment_of_outcome(outcome)) != outcome:
-            return False
-    except OrderViolation:
-        return False
-    # (ii) no intermediary strictly gains by garbling, given that successors
-    # best-respond on the grid
-    cell = grid.cell_of(outcome)
-    return cell is not None and _passed_unchanged(h, grid, 2, cell)
-
-
 def _uniform_subgame_tables(h: HierarchySpec, m0: Fraction, m1: Fraction) -> HierarchySpec:
     """Binary-state stand-in for the subgame after player 1 induces means
     (m0, m1): state s is the cell with mean m_s, and each later agent's payoff
@@ -660,27 +636,36 @@ def verify_simple_equilibrium(
     stand-in's breakpoint grid (`_stand_in`), whatever the grid; a resolution
     below 10 is still refused.
     """
-    outcome = getattr(eq, "outcome", eq)
     if grid is None:
         grid = 100
     if isinstance(grid, int):
         _check_resolution(grid)
-    if h.is_binary:
-        if isinstance(outcome, BinaryOutcome):
-            pass
-        else:
-            support = tuple(as_ratio(x) for x in outcome)
-            lo, hi = (support[0], support[-1])
-            outcome = make_outcome(lo, hi, h.prior)
-        if isinstance(grid, int):
-            grid = build_grid(h.prior, grid)
-        return _verify_binary_pass_through(h, outcome, grid)
-
-    # uniform-state game: outcome is a pair of means (or a degenerate mean)
+    outcome = getattr(eq, "outcome", eq)
     if isinstance(outcome, BinaryOutcome):
         support = outcome.support()
     else:
         support = tuple(as_ratio(x) for x in getattr(outcome, "support", outcome))
+    if h.is_binary:
+        if not isinstance(outcome, BinaryOutcome):
+            outcome = make_outcome(support[0], support[-1], h.prior)
+        if isinstance(grid, int):
+            grid = build_grid(h.prior, grid)
+        if outcome.p != grid.prior.p:
+            return False
+        # (i) the outcome is realizable as player 1's experiment (identity
+        # pass-through composes to the same experiment); weights off the
+        # support's Bayes-plausible ones can invert to no experiment at all
+        try:
+            if outcome_of_experiment(grid.prior, experiment_of_outcome(outcome)) != outcome:
+                return False
+        except OrderViolation:
+            return False
+        # (ii) no intermediary strictly gains by garbling, given that
+        # successors best-respond on the grid
+        cell = grid.cell_of(outcome)
+        return cell is not None and _passed_unchanged(h, grid, 2, cell)
+
+    # uniform-state game: outcome is a pair of means (or a degenerate mean)
     if len(support) == 1 or support[0] == support[-1]:
         return True  # nothing to garble
     m0, m1 = support[0], support[-1]
@@ -689,8 +674,9 @@ def verify_simple_equilibrium(
     if not (m0 < HALF < m1):
         return False
     sub, sub_grid = _stand_in(h, m0, m1)
-    # full information is cell (0, 1); scan every intermediary of the original
-    # chain (all senders of the stand-in); the cut itself is always realizable
+    # full information is cell (0, len(q1s) - 1); scan every intermediary of
+    # the original chain (all senders of the stand-in); the cut itself is
+    # always realizable
     return _passed_unchanged(sub, sub_grid, 1, (0, len(sub_grid.q1s) - 1))
 
 
@@ -925,13 +911,6 @@ class McReport:
         return self.means[i], self.stderrs[i]
 
 
-def _propagate(rng, signals: np.ndarray, matrix: Experiment) -> np.ndarray:
-    import numpy as np
-
-    to_one = np.array([float(row[1]) for row in matrix.rows])
-    return (rng.random(signals.shape[0]) < to_one[signals]).astype(np.int8)
-
-
 def monte_carlo(
     h: HierarchySpec,
     experiments: Sequence[Union[Experiment, IntervalCut]],
@@ -940,7 +919,18 @@ def monte_carlo(
 ) -> McReport:
     """Simulate the chain: draw states, push signals through the experiment
     profile, apply the receiver's threshold behavior, and average realized
-    utilities per agent (with standard errors)."""
+    utilities per agent (with standard errors).
+
+    Both families run one path.  The state falls in one of two cells, each
+    with a probability and a mean of the state: in the binary game the two
+    states, (1 - p, 0) and (p, 1); in the uniform game the two sides of
+    player 1's cut x, (x, x/2) and (1 - x, (x + 1)/2).  The cell is the first
+    signal, and every later experiment garbles it (in the binary game every
+    experiment, in the uniform game every one after the `IntervalCut`), so
+    one loop propagates the signals and composes the garblings into pi.  The
+    receiver acts on the mean of the state given the final signal s, one
+    exact Bayes step: sum_c P(c) pi(s|c) m_c / sum_c P(c) pi(s|c).  A signal
+    that is never sent gets action 0; it is never realized."""
     import numpy as np
 
     if seed is None:
@@ -948,74 +938,40 @@ def monte_carlo(
     if len(experiments) != h.n:
         raise ChainError(f"need one experiment per sender ({h.n}), got {len(experiments)}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    act = action_rule(h)
-
     if h.is_binary:
-        for e in experiments:
-            if not isinstance(e, Experiment):
-                raise ChainError("binary chains take 2x2 experiments only")
-        p = h.prior.p
-        states = (rng.random(trials) < float(p)).astype(np.int8)
-        signals = states
-        for e in experiments:
-            signals = _propagate(rng, signals, e)
-        composed = experiments[0]
-        for e in experiments[1:]:
-            composed = compose(composed, e)
-        # equilibrium posterior (and hence the action) attached to each final signal
-        actions_by_signal = []
-        for s in range(2):
-            lik1, lik0 = composed.rows[1][s], composed.rows[0][s]
-            total = p * lik1 + (1 - p) * lik0
-            if total == 0:
-                actions_by_signal.append(0)
-                continue
-            actions_by_signal.append(act(p * lik1 / total))
-        actions = np.array(actions_by_signal, dtype=np.int8)[signals]
-
-        rows = []
-        agents = [s.utility for s in h.senders] + [h.receiver.utility]
-        for u in agents:
-            table = np.array(
-                [[float(u.u00), float(u.u01)], [float(u.u10), float(u.u11)]]
-            )
-            rows.append(table[states, actions])
+        p, garbles = h.prior.p, experiments
+        cells = ((1 - p, Fraction(0)), (p, Fraction(1)))
+        states = signals = (rng.random(trials) < float(p)).astype(np.int8)
     else:
         cut, garbles = experiments[0], experiments[1:]
         if not isinstance(cut, IntervalCut):
             raise ChainError("uniform chains start with an IntervalCut")
-        for e in garbles:
-            if not isinstance(e, Experiment):
-                raise ChainError("intermediaries garble with 2x2 experiments")
-        states = rng.random(trials)
-        signals = (states >= float(cut.x)).astype(np.int8)
-        for e in garbles:
-            signals = _propagate(rng, signals, e)
-        # posterior mean for each final signal, exactly
         x = cut.x
-        cell_prob = [x, 1 - x]
-        cell_mean = [x / 2, (x + 1) / 2]
-        composed = identity_experiment(2)
-        for e in garbles:
-            composed = compose(composed, e)
-        actions_by_signal = []
-        for s in range(2):
-            num = sum(cell_prob[c] * composed.rows[c][s] * cell_mean[c] for c in range(2))
-            den = sum(cell_prob[c] * composed.rows[c][s] for c in range(2))
-            if den == 0:
-                actions_by_signal.append(0)
-                continue
-            actions_by_signal.append(act(num / den))
-        actions = np.array(actions_by_signal, dtype=np.int8)[signals]
-
-        rows = []
-        agents = [s.utility for s in h.senders] + [h.receiver.utility]
-        for u in agents:
-            premium = float(u.alpha) * states + float(u.beta)
-            rows.append(premium * actions)
+        cells = ((x, x / 2), (1 - x, (x + 1) / 2))
+        states = rng.random(trials)
+        signals = (states >= float(x)).astype(np.int8)
+    composed = identity_experiment(2)
+    for e in garbles:
+        if not isinstance(e, Experiment):
+            raise ChainError("each garbling must be a 2x2 Experiment")
+        to_one = np.array([float(row[1]) for row in e.rows])
+        signals = (rng.random(trials) < to_one[signals]).astype(np.int8)
+        composed = compose(composed, e)
+    act = action_rule(h)
+    by_signal = []
+    for s in range(2):
+        weights = [prob * row[s] for (prob, _), row in zip(cells, composed.rows)]
+        total = sum(weights)
+        by_signal.append(act(sum(w * m for w, (_, m) in zip(weights, cells)) / total) if total else 0)
+    actions = np.array(by_signal, dtype=np.int8)[signals]
 
     means, errs = [], []
-    for sample in rows:
+    for u in (*(s.utility for s in h.senders), h.receiver.utility):
+        if isinstance(u, TableUtility):
+            table = np.array([[float(u.u00), float(u.u01)], [float(u.u10), float(u.u11)]])
+            sample = table[states, actions]
+        else:
+            sample = (float(u.alpha) * states + float(u.beta)) * actions
         means.append(float(np.mean(sample)))
         errs.append(float(np.std(sample, ddof=1) / np.sqrt(trials)))
     return McReport(trials=trials, seed=seed, labels=h.labels,

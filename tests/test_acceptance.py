@@ -6,9 +6,12 @@ print to captured stdout.
 """
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from scipy.integrate import quad
@@ -21,7 +24,6 @@ from infochain import (
     UniformPrior,
     canonicalize_receiver,
     conformist_table,
-    contrarian_table,
     experiment_of_outcome,
     hierarchy,
     linear_utility,
@@ -31,7 +33,7 @@ from infochain import (
     sender_classes,
     solve_binary,
 )
-from infochain.agents import one_extremist_table, zero_extremist_table
+from infochain.agents import zero_extremist_table
 from infochain.advisor import (
     NoImprovement,
     optimal_two_vps,
@@ -56,31 +58,30 @@ from infochain.oracle import (
     verify_simple_equilibrium,
 )
 
-HUNDREDTHS = [F(k, 100) for k in range(1, 100)]
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_script(name: str):
+    """Load ``scripts/<name>.py`` by path; the script puts the source tree on
+    sys.path when loaded, so restore it after."""
+    saved = list(sys.path)
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
 
 
 # ---------------------------------------------------------------------------
-# randomized suites (closed-form side; the oracle runs inside the criteria)
+# randomized suites (closed-form side; the oracle runs inside the criteria),
+# drawn by the generators of scripts/cross_check.py
 # ---------------------------------------------------------------------------
 
-def _random_binary_game(rng: random.Random):
-    pool = list(HUNDREDTHS)
-    rng.shuffle(pool)
-    p = pool.pop()
-    senders = []
-    for _ in range(rng.randint(1, 5)):
-        roll = rng.random()
-        if roll < 0.1:
-            senders.append(AgentSpec(zero_extremist_table()))
-        elif roll < 0.2:
-            senders.append(AgentSpec(one_extremist_table()))
-        elif roll < 0.6:
-            senders.append(AgentSpec(conformist_table(pool.pop())))
-        else:
-            senders.append(AgentSpec(contrarian_table(pool.pop())))
-    table = conformist_table if rng.random() < 0.7 else contrarian_table
-    receiver = AgentSpec(table(pool.pop()))
-    return hierarchy(senders, receiver, BinaryPrior(p))
+_cross_check = _load_script("cross_check")
+_random_binary_game = _cross_check.random_binary_game
+_random_uniform_game = _cross_check.random_uniform_game
 
 
 @pytest.fixture(scope="module")
@@ -91,17 +92,6 @@ def binary_suite():
         h = _random_binary_game(rng)
         suite.append((h, solve_binary(h)))
     return suite
-
-
-def _random_uniform_game(rng: random.Random):
-    pool = [t for t in HUNDREDTHS if t != F(1, 2)]
-    rng.shuffle(pool)
-    senders = []
-    for _ in range(rng.randint(1, 4)):
-        slope = 1 if rng.random() < 0.75 else -1
-        senders.append(AgentSpec(linear_utility(slope, -slope * pool.pop())))
-    receiver = AgentSpec(linear_utility(1, -pool.pop()))
-    return hierarchy(senders, receiver, UniformPrior())
 
 
 @pytest.fixture(scope="module")

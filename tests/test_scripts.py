@@ -3,31 +3,19 @@ a small input, so that an API change in the package cannot leave them broken."""
 from __future__ import annotations
 
 import csv
-import importlib.util
-import sys
 from fractions import Fraction
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def load(monkeypatch, name):
-    # a script puts the source tree on sys.path when loaded; restore it after
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from test_acceptance import ROOT, _load_script
 
 
-def test_cross_check_agrees(monkeypatch, capsys):
-    cross_check = load(monkeypatch, "cross_check")
+def test_cross_check_agrees(capsys):
+    cross_check = _load_script("cross_check")
     assert cross_check.main(["--mode", "both", "--games", "3", "--seed", "7"]) == 0
     assert capsys.readouterr().out.startswith("OK (both, 3 games/mode")
 
 
-def test_cross_check_digest_repeats(monkeypatch, capsys):
-    cross_check = load(monkeypatch, "cross_check")
+def test_cross_check_digest_repeats(capsys):
+    cross_check = _load_script("cross_check")
     argv = ["--digest", "--mode", "both", "--games", "3", "--seed", "7",
             "--binary-grid", "37", "--uniform-grid", "40"]
     runs = []
@@ -39,8 +27,8 @@ def test_cross_check_digest_repeats(monkeypatch, capsys):
         f"{mode} {i}" for mode in ("binary", "uniform") for i in range(3)]
 
 
-def test_sweep_threshold_writes_one_row_per_step(monkeypatch, capsys, tmp_path):
-    sweep = load(monkeypatch, "sweep_threshold")
+def test_sweep_threshold_writes_one_row_per_step(capsys, tmp_path):
+    sweep = _load_script("sweep_threshold")
     out = tmp_path / "sweep.csv"
     config = ROOT / "configs" / "uniform_interior.json"
     assert sweep.main([str(config), "--agent", "2", "--steps", "9", "--out", str(out)]) == 0
