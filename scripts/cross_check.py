@@ -3,20 +3,21 @@
 
 Draws random hierarchies, solves each with the closed-form engine, and then
 reproduces the answer by brute force: the binary mode asks for the closed
-support among the grid equilibria, the uniform mode for a surviving mean pair
-within one grid step of the closed support, and both for the pass-through
-verifier to accept the closed-form report.  Any disagreement or rejection is
-printed with the full hierarchy and both answers, and the exit code is
-nonzero so the script can gate a long soak run.
+support among the grid equilibria and for each player's closed-form value to
+equal the oracle's from-definition value of the closed outcome, the uniform
+mode for a surviving mean pair within one grid step of the closed support,
+and both for the pass-through verifier to accept the closed-form report.  Any
+disagreement or rejection is printed with the full hierarchy and both
+answers, and the exit code is nonzero so the script can gate a long soak run.
 
 With ``--digest`` nothing is compared: the script prints both routes'
 answers, one line per drawn game and no timings, so that the output of two
 versions of the package can be diffed.  Each line holds the closed form's
-answer (kind, support, no-information cause or condition trace, and the
-pivotal agents; ``not-covered: <reason>`` for a uniform game outside its
-region), then the oracle's (for a binary game the grid SPE supports, for a
-uniform game the pair search's supports) and the pass-through verdict on the
-closed-form report.
+answer (kind, support, no-information cause or condition trace, the pivotal
+agents and every player's exact value; ``not-covered: <reason>`` for a
+uniform game outside its region), then the oracle's (for a binary game the
+grid SPE supports, for a uniform game the pair search's supports) and the
+pass-through verdict on the closed-form report.
 
 Example:
     python3 scripts/cross_check.py --mode both --games 50 --seed 7
@@ -48,6 +49,7 @@ from infochain import (
     hierarchy,
     linear_utility,
     one_extremist_table,
+    outcome_value,
     solve_binary,
     solve_general_grid,
     solve_general_uniform,
@@ -56,6 +58,7 @@ from infochain import (
     zero_extremist_table,
 )
 from infochain.cli import hierarchy_doc
+from infochain.oracle import action_rule
 
 HUNDREDTHS = [F(k, 100) for k in range(1, 100)]
 
@@ -101,6 +104,13 @@ def check_binary(games: int, seed: int, resolution: int) -> int:
             failures += 1
             print(f"[binary {i}] closed support {report.support} not among "
                   f"{supports}\n  hierarchy: {hierarchy_doc(h)}")
+        act = action_rule(h)
+        values = tuple(outcome_value(spec.utility, report.outcome, act)
+                       for spec in (*h.senders, h.receiver))
+        if report.values != values:
+            failures += 1
+            print(f"[binary {i}] closed values {show_pair(report.values)} differ from "
+                  f"the oracle's {show_pair(values)}\n  hierarchy: {hierarchy_doc(h)}")
         if not verify_simple_equilibrium(h, report, grid):
             failures += 1
             print(f"[binary {i}] pass-through verifier rejects closed support "
@@ -149,8 +159,8 @@ def show(pairs) -> str:
 
 
 def describe(report) -> str:
-    """The closed form's answer: kind, support, cause or trace, and every
-    pivotal field that is set."""
+    """The closed form's answer: kind, support, cause or trace, every pivotal
+    field that is set, and every player's value."""
     if isinstance(report, GeneralEquilibriumReport):
         why = f"trace {report.condition_trace}"
     else:
@@ -160,7 +170,8 @@ def describe(report) -> str:
         f"{f.name}={getattr(piv, f.name)}" for f in fields(piv)
         if getattr(piv, f.name) is not None
     )
-    return f"{report.kind.value} {show_pair(report.support)} {why} pivotal {agents}"
+    return (f"{report.kind.value} {show_pair(report.support)} {why} pivotal {agents} "
+            f"values {show_pair(report.values)}")
 
 
 def digest_binary(games: int, seed: int, resolution: int) -> None:

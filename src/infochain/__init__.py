@@ -59,6 +59,7 @@ from .agents import (
     relabel_hierarchy,
     sender_classes,
     receiver_class,
+    split_value,
     table_utility,
     zero_extremist_table,
 )
@@ -66,20 +67,13 @@ from .binary_solver import (
     EquilibriumKind,
     EquilibriumReport,
     NoInfoCause,
-    compare_outcomes,
-    expected_value,
-    prefers,
     solve_binary,
 )
 from .general_solver import (
     GeneralEquilibriumReport,
     GeneralKind,
     NotCovered,
-    corresponding_binary_game,
-    no_info_reduction,
-    player1_prefers,
     player1_value,
-    reduced_binary_game,
     solve_general_uniform,
     solve_subgame_given_support,
 )

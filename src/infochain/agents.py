@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .core import (
     HALF,
+    BinaryOutcome,
     BinaryPrior,
     ChainError,
     NumberLike,
@@ -106,6 +107,24 @@ class LinearUtility:
 
 
 Utility = Union[TableUtility, LinearUtility]
+
+
+def split_value(u: Utility, out: BinaryOutcome, act: Callable[[Fraction], object]) -> Fraction:
+    """Value to ``u`` of the split ``out`` when the receiver plays action 1 at
+    each point x with ``act(x)`` true and action 0 elsewhere.
+
+    This is the value of a distribution of posteriors (Kamenica & Gentzkow):
+    the action-0 value at the centre, p * u10 + (1 - p) * u00 for a table
+    agent and 0 for a linear one, plus each acted point's weight times the
+    agent's premium there.  Points are posteriors in the binary game and
+    posterior means in the uniform one; both premia are affine in them.
+    """
+    p = out.p
+    total = p * u.u10 + (1 - p) * u.u00 if isinstance(u, TableUtility) else Fraction(0)
+    for x, w in ((out.q0, out.w0), (out.q1, out.w1)):
+        if w and act(x):
+            total += w * u.gain_of_action1(x)
+    return total
 
 
 def table_utility(u00: NumberLike, u10: NumberLike, u01: NumberLike, u11: NumberLike) -> TableUtility:
@@ -222,7 +241,7 @@ def reclassify_under_support(agent: AgentClass, m0: NumberLike, m1: NumberLike) 
     w = agent.threshold
     conformist = agent.kind is Kind.CONFORMIST
     if w < m0:
-        # prefers 1 everywhere on [m0, m1] if conformist, 0 if contrarian
+        # favours 1 everywhere on [m0, m1] if conformist, 0 if contrarian
         return AgentClass(kind=Kind.ONE_EXTREMIST if conformist else Kind.ZERO_EXTREMIST)
     if w > m1:
         return AgentClass(kind=Kind.ZERO_EXTREMIST if conformist else Kind.ONE_EXTREMIST)
@@ -437,7 +456,7 @@ class EquilibriumKind(Enum):
 class NoInfoCause(Enum):
     """Why a chain transmits nothing.
 
-    OPPOSED: an intermediary always prefers the receiver's default action
+    OPPOSED: an intermediary always favours the receiver's default action
     (a contrarian past the receiver's threshold, or an extremist for the
     biased action), or the receiver never reacts — no insertion of extra
     players can fix this.

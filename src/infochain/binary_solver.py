@@ -4,16 +4,15 @@ The solver normalizes the receiver into the canonical frame (conformist,
 threshold below the prior), reads the equilibrium off the pivotal structure,
 and maps the support back to the original labels:
 
-* everything collapses to no information when some intermediary prefers the
+* everything collapses to no information when some intermediary favours the
   receiver's default action outright, or when the best-aligned conformist
   sits in front of the last blocker;
 * all-conformist chains reveal everything;
 * otherwise the chain splits exactly at the best-aligned conformist's
   threshold.
 
-Expected utilities use the two-branch posterior-weighting formula (split
-outcomes below the receiver's threshold versus the constant-action plateau),
-which the brute-force engine re-derives independently from raw definitions.
+Each player's value is `split_value` of the outcome, which the brute-force
+engine re-derives independently from raw definitions.
 """
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import BinaryOutcome, PriorMismatch, make_outcome
+from .core import BinaryOutcome, make_outcome
 from .agents import (
     EquilibriumKind,
     ExtremistReceiver,
@@ -30,12 +29,12 @@ from .agents import (
     NoInfoCause,
     PivotalReport,
     Relabeling,
-    TableUtility,
     ValidationError,
     canonicalize_receiver,
     pivotal_rule,
     receiver_class,
     sender_classes,
+    split_value,
 )
 
 
@@ -45,7 +44,7 @@ class EquilibriumReport:
 
     ``support`` and ``outcome`` are original-frame; ``witness`` (present only
     for inefficient verdicts) is the canonical-frame interval of low-cell
-    posteriors that every player weakly prefers — interpret it through
+    posteriors that every player weakly favours — interpret it through
     ``relabeling``.  ``values`` aligns with ``labels`` (senders then receiver).
     """
 
@@ -63,65 +62,6 @@ class EquilibriumReport:
 
     def value_of(self, label: str) -> Fraction:
         return self.values[self.labels.index(label)]
-
-
-# ---------------------------------------------------------------------------
-# expected utility calculus (canonical frame)
-# ---------------------------------------------------------------------------
-
-def expected_value(
-    agent: TableUtility,
-    out: BinaryOutcome,
-    receiver_threshold: Fraction,
-    tie_action: int = 0,
-) -> Fraction:
-    """Expected utility of a table agent in the canonical frame, where the
-    receiver plays 1 above her threshold and at the prior.
-
-    A split with its low cell under the threshold mixes both actions;
-    anything else earns the constant-action (no-information) value.
-    """
-    informative = (not out.degenerate) and (
-        out.q0 < receiver_threshold
-        or (out.q0 == receiver_threshold and tie_action == 0)
-    )
-    if informative:
-        return out.w1 * (out.q1 * agent.u11 + (1 - out.q1) * agent.u01) + out.w0 * (
-            out.q0 * agent.u10 + (1 - out.q0) * agent.u00
-        )
-    return out.p * agent.u11 + (1 - out.p) * agent.u01
-
-
-def compare_outcomes(
-    agent: TableUtility,
-    out_a: BinaryOutcome,
-    out_b: BinaryOutcome,
-    receiver_threshold: Fraction,
-    tie_action: int = 0,
-) -> int:
-    """Sign of the agent's preference between two outcomes: +1 if out_a is
-    strictly better, -1 if strictly worse, 0 on an exact tie (so callers can
-    apply informativeness tie-breaking)."""
-    if out_a.p != out_b.p:
-        raise PriorMismatch(f"outcomes priors differ: {out_a.p} vs {out_b.p}")
-    va = expected_value(agent, out_a, receiver_threshold, tie_action)
-    vb = expected_value(agent, out_b, receiver_threshold, tie_action)
-    if va > vb:
-        return 1
-    if va < vb:
-        return -1
-    return 0
-
-
-def prefers(
-    agent: TableUtility,
-    out_a: BinaryOutcome,
-    out_b: BinaryOutcome,
-    receiver_threshold: Fraction,
-    tie_action: int = 0,
-) -> bool:
-    """Strict preference for out_a over out_b."""
-    return compare_outcomes(agent, out_a, out_b, receiver_threshold, tie_action) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +87,15 @@ def solve_binary(h: HierarchySpec) -> EquilibriumReport:
     except ExtremistReceiver:
         p = h.prior.p
         action = 1 if receiver_class(h).kind is Kind.ONE_EXTREMIST else 0
+        silence = make_outcome(p, p, h.prior)
         values = tuple(
-            p * spec.utility.value(1, action) + (1 - p) * spec.utility.value(0, action)
+            split_value(spec.utility, silence, lambda q: action)
             for spec in (*h.senders, h.receiver)
         )
         return EquilibriumReport(
             kind=EquilibriumKind.NO_INFO,
             support=(p,),
-            outcome=make_outcome(p, p, h.prior),
+            outcome=silence,
             pivotal=None,
             efficient=True,
             witness=None,
@@ -177,8 +118,11 @@ def solve_binary(h: HierarchySpec) -> EquilibriumReport:
     else:
         canon_outcome = make_outcome(p, p, canon.prior)
 
+    def act(q: Fraction) -> bool:
+        return q > mu_r or (q == mu_r and tie == 1)
+
     values = tuple(
-        expected_value(spec.utility, canon_outcome, mu_r, tie)
+        split_value(spec.utility, canon_outcome, act)
         for spec in (*canon.senders, canon.receiver)
     )
 

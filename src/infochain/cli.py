@@ -103,6 +103,10 @@ _GRID_COMMANDS = ("oracle", "compare")
 #: grow with the G^2 cells of its belief grid
 MAX_GRID = 1000
 
+#: most --trials ``simulate`` accepts: its peak memory grows by about 19 bytes
+#: per trial (54 MB at this ceiling)
+MAX_TRIALS = 1_000_000
+
 #: finest --grid ``curve`` accepts: it keeps one report row per cut, so its
 #: time and memory grow linearly with G
 _MAX_CURVE_GRID = 100_000
@@ -150,6 +154,10 @@ class RunConfig:
             if self.trials < 2:
                 raise ValidationError(
                     f"trials must be at least 2 for a standard error, got {self.trials}"
+                )
+            if self.trials > MAX_TRIALS:
+                raise ValidationError(
+                    f"simulate takes at most {MAX_TRIALS} trials, got {self.trials}"
                 )
         if self.command == "vp" and not 0 < self.delta < 1:
             raise ValidationError(

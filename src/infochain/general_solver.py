@@ -14,15 +14,14 @@ game reduces to placing m0:
   beyond distance 1/2, kills transmission entirely;
 * within those constraints player 1 parks m0 at her own stationary point.
 
-Supports here are posterior *means*, not posteriors; the binary machinery is
-reused by mapping each linear agent onto an equivalent payoff table.
+Supports here are posterior *means*, not posteriors.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .core import (
     HALF,
@@ -36,8 +35,6 @@ from .core import (
     mpc_feasible_uniform,
 )
 from .agents import (
-    AgentSpec,
-    BinaryPrior,
     EquilibriumKind,
     ExtremistReceiver,
     HierarchySpec,
@@ -47,7 +44,6 @@ from .agents import (
     NoInfoCause as BinaryCause,
     PivotalReport,
     Relabeling,
-    TableUtility,
     ValidationError,
     canonicalize_receiver,
     classify_linear,
@@ -55,9 +51,9 @@ from .agents import (
     receiver_class,
     reclassify_under_support,
     sender_classes,
+    split_value,
     with_general_pivots,
 )
-from .binary_solver import solve_binary
 
 
 class NotCovered(ChainError):
@@ -116,56 +112,12 @@ class GeneralEquilibriumReport:
         return self.values[self.labels.index(label)]
 
 
-# ---------------------------------------------------------------------------
-# companion binary games
-# ---------------------------------------------------------------------------
-
-def _as_table(u: LinearUtility) -> TableUtility:
-    """Equivalent two-state payoff table: state-1 premium alpha + beta,
-    state-0 premium beta, action-0 payoffs zero.  Preserves the indifference
-    point and the taxonomy slot exactly, extremists included."""
-    zero = Fraction(0)
-    return TableUtility(zero, zero, u.beta, u.alpha + u.beta)
-
-
-def _tableized(h: HierarchySpec, senders: tuple[AgentSpec, ...]) -> HierarchySpec:
-    receiver = AgentSpec(utility=_as_table(h.receiver.utility), label=h.receiver.label)
-    return HierarchySpec(
-        senders=tuple(
-            AgentSpec(utility=_as_table(s.utility), label=s.label) for s in senders
-        ),
-        receiver=receiver,
-        prior=BinaryPrior(HALF),
-    )
-
-
 def _require_uniform_linear(h: HierarchySpec) -> None:
     if not isinstance(h.prior, UniformPrior):
         raise ValidationError("this solver needs the uniform continuous prior")
     for spec in (*h.senders, h.receiver):
         if not isinstance(spec.utility, LinearUtility):
             raise ValidationError("this solver needs linear action premia throughout")
-
-
-def reduced_binary_game(h: HierarchySpec) -> HierarchySpec:
-    """Two-state companion game over the intermediaries (senders 2..n):
-    indifference means become beliefs, the prior becomes 1/2."""
-    _require_uniform_linear(h)
-    if h.n < 2:
-        raise ValidationError("no intermediaries to reduce")
-    return _tableized(h, h.senders[1:])
-
-
-def corresponding_binary_game(h: HierarchySpec) -> HierarchySpec:
-    """Two-state companion game over the whole chain (senders 1..n)."""
-    _require_uniform_linear(h)
-    return _tableized(h, h.senders)
-
-
-def no_info_reduction(h: HierarchySpec) -> bool:
-    """True when the companion game over the whole chain transmits nothing,
-    which carries over verbatim to the continuous game."""
-    return solve_binary(corresponding_binary_game(h)).kind is EquilibriumKind.NO_INFO
 
 
 # ---------------------------------------------------------------------------
@@ -222,45 +174,9 @@ def player1_value(m0: NumberLike, u1: LinearUtility) -> Fraction:
     """Player 1's expected premium from the pair {m0, m0 + 1/2} when the
     receiver acts only on the high cell: weight 2(1/2 - m0) on that cell times
     the premium at its mean.  Stationary at half player 1's indifference
-    mean."""
+    mean; raises OrderViolation unless 0 <= m0 <= 1/2."""
     m0 = as_ratio(m0)
-    if not 0 <= m0 <= HALF:
-        raise OrderViolation(f"m0 must lie in [0, 1/2], got {m0}")
-    return 2 * (HALF - m0) * (u1.alpha * m0 + u1.alpha / 2 + u1.beta)
-
-
-PairLike = Union[BinaryOutcome, "tuple[NumberLike, ...]"]
-
-
-def _as_pair(out: PairLike) -> tuple[Fraction, Fraction]:
-    if isinstance(out, BinaryOutcome):
-        return (out.q0, out.q1)
-    pts = tuple(as_ratio(x) for x in out)
-    if len(pts) == 1:
-        return (pts[0], pts[0])
-    if len(pts) != 2 or pts[0] > pts[1]:
-        raise OrderViolation(f"not a mean pair: {out!r}")
-    return (pts[0], pts[1])
-
-
-def _pair_value(u1: LinearUtility, pair: tuple[Fraction, Fraction], w_r: Fraction) -> Fraction:
-    m0, m1 = pair
-    if m0 >= w_r:  # receiver acts on both cells; plateau at the prior mean
-        return u1.gain_of_action1(HALF)
-    if m1 <= w_r:  # receiver never acts; the zero action-0 baseline remains
-        return Fraction(0)
-    w1 = (HALF - m0) / (m1 - m0)
-    return w1 * u1.gain_of_action1(m1)
-
-
-def player1_prefers(
-    u1: LinearUtility, out_a: PairLike, out_b: PairLike, receiver_threshold: NumberLike
-) -> bool:
-    """Strict preference of player 1 between two mean-pair outcomes, with the
-    receiver splitting at her indifference mean and the no-information plateau
-    for pairs entirely at or past it."""
-    w_r = as_ratio(receiver_threshold)
-    return _pair_value(u1, _as_pair(out_a), w_r) > _pair_value(u1, _as_pair(out_b), w_r)
+    return split_value(u1, make_outcome(m0, m0 + HALF, HALF), lambda m: m > m0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +192,16 @@ def _report(
     rel: Relabeling,
 ) -> GeneralEquilibriumReport:
     # values in the original frame: each agent's premium accrues on the cells
-    # where the original receiver strictly prefers action 1 (delivered means
+    # where the original receiver strictly favours action 1 (delivered means
     # never sit on her indifference point)
     ru = h.receiver.utility
-    if len(support) == 1:
-        cells = [(support[0], Fraction(1))]
-    else:
-        m0, m1 = support
-        cells = [(m0, (m1 - HALF) / (m1 - m0)), (m1, (HALF - m0) / (m1 - m0))]
+    out = make_outcome(support[0], support[-1], HALF)
+
+    def act(m: Fraction) -> bool:
+        return ru.gain_of_action1(m) > 0
+
     values = tuple(
-        sum((w * spec.utility.gain_of_action1(m) for m, w in cells
-             if ru.gain_of_action1(m) > 0), Fraction(0))
-        for spec in (*h.senders, h.receiver)
+        split_value(spec.utility, out, act) for spec in (*h.senders, h.receiver)
     )
     return GeneralEquilibriumReport(
         kind=kind,
@@ -320,9 +234,10 @@ def solve_general_uniform(h: HierarchySpec) -> GeneralEquilibriumReport:
     classes = sender_classes(canon)
     w_r = receiver_class(canon).threshold
 
-    # The companion game over the whole chain has exactly these classes
-    # (`_as_table` keeps every threshold and slot), so its verdict is read off
-    # them without building it.
+    # The companion two-state game over the whole chain (each linear agent as
+    # the table (0, 0, beta, alpha + beta), prior 1/2) has exactly these
+    # classes, so its verdict is read off them without building it;
+    # tests/test_general_solver.py::TestCompanionGames pins those classes.
     base, kind, cause, _ = pivotal_rule(classes, w_r)
     try:
         pivotal = with_general_pivots(base, classes, w_r)

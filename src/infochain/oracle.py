@@ -407,7 +407,7 @@ class IcChain:
 
     @cached_property
     def proof_mask(self) -> Mask:
-        """The garble-proof cells: no intermediary strictly prefers any
+        """The garble-proof cells: no intermediary strictly favours any
         contraction, credible or not, over the cell itself."""
         proof = [[True] * len(self.core.q1s) for _ in self.core.q0s]
         for idx in range(self.h.n, 1, -1):

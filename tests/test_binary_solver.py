@@ -1,5 +1,5 @@
-"""Closed-form binary-state equilibria, the expected-utility calculus, and
-efficiency verdicts."""
+"""Closed-form binary-state equilibria, the value of a split, and efficiency
+verdicts."""
 from __future__ import annotations
 
 import random
@@ -11,21 +11,17 @@ from infochain import (
     BinaryPrior,
     EquilibriumKind,
     NoInfoCause,
-    PriorMismatch,
     Relabeling,
-    compare_outcomes,
     conformist_table,
     contrarian_table,
-    expected_value,
     hierarchy,
     make_outcome,
     no_information,
     one_extremist_table,
-    prefers,
     quadratic_loss_table,
     relabel_hierarchy,
     solve_binary,
-    table_utility,
+    split_value,
     zero_extremist_table,
 )
 from infochain.agents import RECEIVER
@@ -39,30 +35,40 @@ def out(q0, q1):
     return make_outcome(q0, q1, P)
 
 
+def acts(tie_action=0, threshold=MU_R):
+    """The canonical receiver: action 1 above her threshold, and at it when
+    the tie action is 1."""
+    return lambda q: q > threshold or (q == threshold and tie_action == 1)
+
+
+def value(agent, outcome, tie_action=0):
+    return split_value(agent, outcome, acts(tie_action))
+
+
 class TestExpectedValue:
     def test_zero_extremist_partial_split(self):
         # low cell below the threshold: both actions occur, weighted by Bayes
         agent = zero_extremist_table()  # payoffs (2,1) for action 0, 0 for 1
-        assert expected_value(agent, out(F(1, 4), 1), MU_R) == F(14, 15)
+        assert value(agent, out(F(1, 4), 1)) == F(14, 15)
 
     def test_plateau_ignores_coordinates(self):
         agent = zero_extremist_table()
-        plateau = expected_value(agent, no_information(P), MU_R)
+        plateau = value(agent, no_information(P))
         for pair in [(F(2, 5), 1), (F(9, 20), 1), (F(1, 2), F(7, 10)), (F(2, 5), F(3, 5))]:
-            assert expected_value(agent, out(*pair), MU_R, tie_action=1) == plateau
+            assert value(agent, out(*pair), tie_action=1) == plateau
         # the plateau is the constant-action-1 value
         assert plateau == P.p * agent.u11 + (1 - P.p) * agent.u01
 
     def test_perfect_matching_costs_nothing(self):
         # unbiased state-matcher seeing full revelation: zero loss
         agent = quadratic_loss_table(0)
-        assert expected_value(agent, out(0, 1), F(1, 2)) == 0
+        assert split_value(agent, out(0, 1), acts(threshold=F(1, 2))) == 0
 
     def test_tie_action_picks_the_branch(self):
         agent = zero_extremist_table()
         split = out(MU_R, 1)  # low cell exactly on the receiver's threshold
-        assert expected_value(agent, split, MU_R, tie_action=0) == F(16, 15)
-        assert expected_value(agent, split, MU_R, tie_action=1) == 0
+        assert value(agent, split, tie_action=0) == F(16, 15)
+        assert value(agent, split, tie_action=1) == 0
 
 
 class TestPreferences:
@@ -70,26 +76,20 @@ class TestPreferences:
         agent = one_extremist_table()
         silence = no_information(P)
         for pair in [(F(1, 10), 1), (F(1, 4), F(9, 10)), (0, 1), (F(3, 10), F(7, 10))]:
-            assert prefers(agent, silence, out(*pair), MU_R)
+            assert value(agent, silence) > value(agent, out(*pair))
 
     def test_zero_extremist_wants_higher_low_cell(self):
         agent = zero_extremist_table()
-        assert prefers(agent, out(F(3, 10), 1), out(F(1, 5), 1), MU_R)
+        assert value(agent, out(F(3, 10), 1)) > value(agent, out(F(1, 5), 1))
 
     def test_conformist_wants_lower_low_cell(self):
         agent = conformist_table(F(1, 5))
-        assert prefers(agent, out(F(1, 10), 1), out(F(3, 20), 1), MU_R)
+        assert value(agent, out(F(1, 10), 1)) > value(agent, out(F(3, 20), 1))
 
     def test_plateau_outcomes_tie(self):
         agent = conformist_table(F(1, 5))
         a, b = out(F(9, 20), 1), out(F(1, 2), F(7, 10))
-        assert compare_outcomes(agent, a, b, MU_R) == 0
-        assert not prefers(agent, a, b, MU_R)
-
-    def test_prior_mismatch(self):
-        other = make_outcome(F(1, 4), 1, BinaryPrior(F(1, 2)))
-        with pytest.raises(PriorMismatch):
-            compare_outcomes(conformist_table(F(1, 5)), out(F(1, 4), 1), other, MU_R)
+        assert value(agent, a) == value(agent, b)
 
 
 def chain(senders, receiver=None):
@@ -201,8 +201,7 @@ class TestEfficiency:
         for q0 in [lo, (lo + 3 * hi) / 4, (lo + hi) / 2, hi]:
             better = make_outcome(q0, 1, P)
             deltas = [
-                expected_value(u, better, MU_R, r.tie_action)
-                - expected_value(u, silence, MU_R, r.tie_action)
+                value(u, better, r.tie_action) - value(u, silence, r.tie_action)
                 for u in tables
             ]
             assert all(d >= 0 for d in deltas)

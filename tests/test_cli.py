@@ -21,6 +21,7 @@ from infochain import (
 )
 from infochain.cli import (
     MAX_GRID,
+    MAX_TRIALS,
     ParseError,
     RunConfig,
     ValidationError,
@@ -181,6 +182,12 @@ class TestRunConfig:
         with pytest.raises(ValidationError, match="at least 2"):
             RunConfig(PARTIAL, "simulate", trials=1, seed=1).validate()
         RunConfig(PARTIAL, "simulate", trials=2, seed=1).validate()
+
+    def test_trials_ceiling_for_simulate(self):
+        # validate() only, so nothing ever runs at the extreme value
+        with pytest.raises(ValidationError, match="at most 1000000 trials"):
+            RunConfig(PARTIAL, "simulate", trials=MAX_TRIALS + 1, seed=1).validate()
+        RunConfig(PARTIAL, "simulate", trials=MAX_TRIALS, seed=1).validate()
 
     def test_unknown_command(self):
         with pytest.raises(ValidationError):
@@ -400,6 +407,19 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(PARTIAL), "--seed", "1",
                      "--trials", "1"]) == 1
         assert capsys.readouterr().out == ""
+
+    def test_huge_trial_count_exits_one_before_simulating(self, capsys, monkeypatch):
+        from infochain import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("Monte Carlo ran")
+
+        monkeypatch.setattr(cli, "monte_carlo", never)
+        assert main(["simulate", "--config", str(PARTIAL), "--seed", "1",
+                     "--trials", "1000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at most 1000000 trials" in captured.err
 
     def test_internal_faults_exit_three(self, capsys, monkeypatch):
         from infochain import cli

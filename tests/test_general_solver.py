@@ -1,5 +1,9 @@
-"""Closed-form equilibria of the uniform-state linear chain and its companion
-binary games."""
+"""Closed-form equilibria of the uniform-state linear chain, player 1's value
+of a mean pair, and the two-state companion game whose silence carries over.
+
+The companion game is built here, not by the package: `solve_general_uniform`
+reads its verdict straight off the linear agents' classes, and the tests below
+pin that those classes and that verdict are the companion's."""
 from __future__ import annotations
 
 import random
@@ -8,27 +12,27 @@ from fractions import Fraction as F
 import pytest
 
 from infochain import (
+    AgentSpec,
+    BinaryPrior,
     GeneralKind,
     HierarchySpec,
     Kind,
     NotCovered,
     OrderViolation,
     Relabeling,
+    TableUtility,
     UniformPrior,
     ValidationError,
-    corresponding_binary_game,
     hierarchy,
     linear_utility,
     make_outcome,
-    no_info_reduction,
-    player1_prefers,
     player1_value,
-    reduced_binary_game,
     relabel_hierarchy,
     sender_classes,
     solve_binary,
     solve_general_uniform,
     solve_subgame_given_support,
+    split_value,
 )
 from infochain.binary_solver import EquilibriumKind
 from infochain.core import HALF
@@ -52,50 +56,69 @@ def chain(senders, receiver=None, strict=True):
 CASE_C = [conf("0.32"), conf("0.2"), conf("0.58")]
 
 
+def companion(h, senders=None):
+    """The two-state companion game of a uniform chain over ``senders`` (all of
+    them by default): each linear agent becomes the table with state-0 premium
+    beta, state-1 premium alpha + beta and zero action-0 payoffs, and the
+    prior becomes 1/2.  Indifference means become beliefs."""
+    def spec(s):
+        u = s.utility
+        return AgentSpec(TableUtility(0, 0, u.beta, u.alpha + u.beta), s.label)
+
+    senders = h.senders if senders is None else senders
+    return HierarchySpec(senders=tuple(spec(s) for s in senders),
+                         receiver=spec(h.receiver), prior=BinaryPrior(HALF))
+
+
+def companion_silent(h):
+    return solve_binary(companion(h)).kind is EquilibriumKind.NO_INFO
+
+
 class TestCompanionGames:
     def test_reduced_keeps_thresholds(self):
-        red = reduced_binary_game(chain(CASE_C))
+        h = chain(CASE_C)
+        red = companion(h, h.senders[1:])
         assert [c.threshold for c in sender_classes(red)] == [F(1, 5), F(29, 50)]
         assert red.prior.p == HALF
 
     def test_corresponding_includes_player1(self):
-        corr = corresponding_binary_game(chain(CASE_C))
+        corr = companion(chain(CASE_C))
         assert [c.threshold for c in sender_classes(corr)] == [
             F(8, 25), F(1, 5), F(29, 50)]
 
     def test_absolute_extremist_maps_to_extremist(self):
         h = chain([conf("0.32"), linear_utility(1, F(-6, 5)), conf("0.2")])
-        kinds = [c.kind for c in sender_classes(reduced_binary_game(h))]
+        kinds = [c.kind for c in sender_classes(companion(h, h.senders[1:]))]
         assert kinds[0] is Kind.ZERO_EXTREMIST
 
     def test_contrarian_passes_through(self):
         h = chain([conf("0.32"), contr("0.35"), conf("0.2")])
-        c = sender_classes(reduced_binary_game(h))[0]
+        c = sender_classes(companion(h, h.senders[1:]))[0]
         assert c.kind is Kind.CONTRARIAN and c.threshold == F(7, 20)
 
-    def test_reduced_needs_an_intermediary(self):
-        with pytest.raises(ValidationError):
-            reduced_binary_game(chain([conf("0.2")]))
-
-    def test_table_chain_rejected(self):
-        from infochain import BinaryPrior, conformist_table
-        h = hierarchy([conformist_table(F(1, 4))], conformist_table(F(2, 5)),
-                      BinaryPrior(F(3, 5)))
-        with pytest.raises(ValidationError):
-            corresponding_binary_game(h)
+    def test_classes_match_the_linear_agents(self):
+        # solve_general_uniform reads the companion's verdict off the linear
+        # agents' own classes, which the tables keep: every threshold and slot
+        rng = random.Random(29)
+        crossings = [F(k, 100) for k in range(-60, 161) if k not in (0, 50, 100)]
+        for _ in range(200):
+            slope = rng.choice([1, -1, 2, F(-1, 3)])
+            u = linear_utility(slope, -slope * rng.choice(crossings))
+            h = HierarchySpec(senders=(AgentSpec(u),), receiver=AgentSpec(u), prior=U)
+            assert sender_classes(companion(h)) == sender_classes(h)
 
 
 class TestNoInfoReduction:
     def test_one_extremist_first_mover_blocks(self):
         h = chain([linear_utility(1, F(1, 10)), conf("0.2"), conf("0.58")])
-        assert no_info_reduction(h)
+        assert companion_silent(h)
 
     def test_ordering_collapse_carries_over(self):
         h = chain([conf("0.2"), contr("0.1"), conf("0.58")])
-        assert no_info_reduction(h)
+        assert companion_silent(h)
 
     def test_all_conformists_flow(self):
-        assert not no_info_reduction(chain(CASE_C))
+        assert not companion_silent(chain(CASE_C))
 
 
 class TestSubgame:
@@ -159,31 +182,32 @@ class TestPlayer1Value:
             player1_value(F(3, 5), self.U1)
 
 
+def pair_value(u, pair, w_r):
+    """Value of the mean pair (or of silence, a single mean) when the receiver
+    acts on every mean at or past her indifference mean ``w_r``."""
+    return split_value(u, make_outcome(pair[0], pair[-1], HALF), lambda m: m >= w_r)
+
+
 class TestPlayer1Prefers:
     def test_contrarian_prefers_silence_to_any_split(self):
         u = contr("0.6")
         for pair in [(F(1, 5), F(7, 10)), (F(1, 4), F(3, 4)), (F(1, 20), F(11, 20))]:
-            assert player1_prefers(u, (HALF,), pair, F(3, 10))
+            assert pair_value(u, (HALF,), F(3, 10)) > pair_value(u, pair, F(3, 10))
 
     def test_conformist_wants_lower_m0_higher_m1(self):
         u = conf("0.4")
-        assert player1_prefers(u, (F(1, 10), F(3, 5)), (F(1, 5), F(3, 5)), F(3, 10))
-        assert player1_prefers(u, (F(1, 5), F(7, 10)), (F(1, 5), F(3, 5)), F(3, 10))
+        base = pair_value(u, (F(1, 5), F(3, 5)), F(3, 10))
+        assert pair_value(u, (F(1, 10), F(3, 5)), F(3, 10)) > base
+        assert pair_value(u, (F(1, 5), F(7, 10)), F(3, 10)) > base
 
     def test_zero_extremist_wants_higher_pair(self):
         u = linear_utility(1, F(-6, 5))
-        assert player1_prefers(u, (F(3, 10), F(4, 5)), (F(1, 5), F(7, 10)), F(7, 20))
-
-    def test_accepts_outcome_objects(self):
-        u = conf("0.4")
-        a = make_outcome(F(1, 10), F(3, 5), HALF)
-        b = make_outcome(F(1, 5), F(3, 5), HALF)
-        assert player1_prefers(u, a, b, F(3, 10))
+        assert (pair_value(u, (F(3, 10), F(4, 5)), F(7, 20))
+                > pair_value(u, (F(1, 5), F(7, 10)), F(7, 20)))
 
     def test_plateau_pairs_tie(self):
         u = conf("0.4")
-        assert not player1_prefers(u, (F(3, 10), F(4, 5)), (HALF,), F(3, 10))
-        assert not player1_prefers(u, (HALF,), (F(3, 10), F(4, 5)), F(3, 10))
+        assert pair_value(u, (F(3, 10), F(4, 5)), F(3, 10)) == pair_value(u, (HALF,), F(3, 10))
 
 
 class TestSolveGeneralUniform:
@@ -286,7 +310,7 @@ class TestGridAgreement:
             senders = [conf(w) if rng.random() < 0.7 else contr(w) for w in ws[:n]]
             receiver = conf(ws[n]) if rng.random() < 0.8 else contr(ws[n])
             h = hierarchy(senders, receiver, U)
-            companion_quiet = no_info_reduction(h)
+            companion_quiet = companion_silent(h)
             try:
                 mine = solve_general_uniform(h)
             except NotCovered:

@@ -4,6 +4,7 @@ the engine once and hand-checking the mechanics (set shapes, exclusion of
 non-credible garbles, collapse of receiver-constant outcomes)."""
 from __future__ import annotations
 
+import ast
 import json
 import random
 from dataclasses import fields
@@ -57,7 +58,8 @@ from infochain.oracle import action_rule, outcome_value
 from test_acceptance import _random_binary_game, _random_uniform_game
 
 P = BinaryPrior(F(3, 5))
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 HUNDREDTHS = [F(k, 100) for k in range(1, 100)]
 
 
@@ -79,6 +81,32 @@ def chain(grid20):
         conformist_table(F(2, 5)), P,
     )
     return h, ic_chain(h, grid20)
+
+
+class TestIndependence:
+    """The oracle is evidence for the closed forms only while it shares none of
+    their decision logic: it reads the game's definitions, never a solver."""
+
+    SOLVER_MODULES = {"binary_solver", "general_solver", "advisor"}
+    SOLVER_NAMES = {
+        "split_value", "pivotal_rule", "pivotal_binary", "pivotal_general",
+        "sender_classes", "receiver_class", "canonicalize_receiver",
+        "reclassify_under_support", "with_general_pivots",
+    }
+
+    def test_oracle_imports_no_closed_form_logic(self):
+        tree = ast.parse((ROOT / "src" / "infochain" / "oracle.py").read_text())
+        modules, names = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules.add((node.module or "").rpartition(".")[2])
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                modules.update(alias.name.rpartition(".")[2] for alias in node.names)
+        assert "HierarchySpec" in names  # the walk did see the imports
+        assert not (modules | names) & self.SOLVER_MODULES
+        assert not names & self.SOLVER_NAMES
+        assert not [name for name in names if name.startswith("classify_")]
 
 
 class TestGrid:
@@ -702,6 +730,50 @@ class TestUniformGrid:
         receiver = agent("receiver", data.draw(st.sampled_from([1, -1])))
         h = hierarchy(senders, receiver, UNIFORM, strict=False)
         assert solve_general_grid(h, resolution) == self.per_pair_search(h, resolution)
+
+    def test_order_type_fixes_the_answer_off_the_lattice(self):
+        # the search asks one pair per order type and carries its answer to
+        # the rest; here pairs with denominators 7..997, far off any lattice,
+        # must get the same delivered positions and actions within each type
+        rng = random.Random(2024)
+        half = F(1, 2)
+
+        def agent(slopes):
+            while True:
+                den = rng.randint(3, 17)
+                c = F(rng.randint(-(den // 3), den + den // 3), den)
+                if c not in (0, half, 1):
+                    slope = rng.choice(slopes)
+                    return AgentSpec(linear_utility(slope, -slope * c))
+
+        def pair():
+            # m0 < 1/2 < m1 <= m0 + 1/2
+            while True:
+                d0, d1 = rng.randint(7, 997), rng.randint(7, 997)
+                m0 = F(rng.randrange((d0 + 1) // 2), d0)
+                top = int((m0 + half) * d1)
+                if top > d1 // 2:
+                    return m0, F(rng.randint(d1 // 2 + 1, top), d1)
+
+        compared = 0
+        for _ in range(40):
+            senders = [agent([1, 1, -1]) for _ in range(rng.randint(1, 4))]
+            h = hierarchy(senders, agent([1, -1]), UNIFORM, strict=False)
+            crossings = [a.utility.crossing for a in (*h.senders[1:], h.receiver)]
+            marks = (*crossings, half)
+            first = {}
+            for _ in range(30):
+                m0, m1 = pair()
+                order_type = tuple((m > w) - (m < w) for m in (m0, m1) for w in marks)
+                names = {m0: "m0", m1: "m1", half: "1/2"}
+                for k, w in enumerate(crossings):
+                    names.setdefault(w, f"crossing {k}")
+                answer = [(names[m], a) for m, _, a in oracle._respond_to_means(h, m0, m1)]
+                if order_type in first:
+                    compared += 1
+                    assert answer == first[order_type], (h, m0, m1)
+                first.setdefault(order_type, answer)
+        assert compared > 1000
 
     @pytest.mark.parametrize("name", GAMES)
     def test_fixed_games_match_the_per_pair_search_at_200(self, name):

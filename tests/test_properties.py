@@ -22,7 +22,6 @@ from infochain import (
     compose,
     conformist_table,
     contrarian_table,
-    expected_value,
     experiment,
     experiment_of_outcome,
     full_information,
@@ -35,6 +34,7 @@ from infochain import (
     no_information,
     outcome_of_experiment,
     solve_binary,
+    split_value,
     table_utility,
 )
 from infochain.agents import relabel_utility
@@ -158,7 +158,11 @@ class TestValueMonotonicity:
         inner = data.draw(outcome_for(p))
         assume(is_mpc(inner, outer))
         receiver = conformist_table(w_r)
-        assert expected_value(receiver, outer, w_r) >= expected_value(receiver, inner, w_r)
+
+        def acts(q):
+            return q > w_r
+
+        assert split_value(receiver, outer, acts) >= split_value(receiver, inner, acts)
 
     @given(interior,
            st.fractions(min_value=0, max_value=F(1, 2), max_denominator=48),
