@@ -3,12 +3,14 @@
 
 Draws random hierarchies, solves each with the closed-form engine, and then
 reproduces the answer by brute force: the binary mode asks for the closed
-support among the grid equilibria and for each player's closed-form value to
-equal the oracle's from-definition value of the closed outcome, the uniform
-mode for a surviving mean pair within one grid step of the closed support,
-and both for the pass-through verifier to accept the closed-form report.  Any
-disagreement or rejection is printed with the full hierarchy and both
-answers, and the exit code is nonzero so the script can gate a long soak run.
+support among the grid equilibria on the game's breakpoints
+(`breakpoint_grid`, exact, so any mismatch is real) and for each player's
+closed-form value to equal the oracle's from-definition value of the closed
+outcome, the uniform mode for a surviving mean pair within one step of the
+``--uniform-grid`` lattice of the closed support, and both for the
+pass-through verifier to accept the closed-form report.  Any disagreement or
+rejection is printed with the full hierarchy and both answers, and the exit
+code is nonzero so the script can gate a long soak run.
 
 With ``--digest`` nothing is compared: the script prints both routes'
 answers, one line per drawn game and no timings, so that the output of two
@@ -16,11 +18,11 @@ versions of the package can be diffed.  Each line holds the closed form's
 answer (kind, support, no-information cause or condition trace, the pivotal
 agents and every player's exact value; ``not-covered: <reason>`` for a
 uniform game outside its region), then the oracle's (for a binary game the
-grid SPE supports, for a uniform game the pair search's supports) and the
-pass-through verdict on the closed-form report.
+breakpoint-grid SPE supports, for a uniform game the pair search's supports)
+and the pass-through verdict on the closed-form report.
 
 Example:
-    python3 scripts/cross_check.py --mode both --games 50 --seed 7
+    python3 scripts/cross_check.py --mode both --games 100 --seed 7
     python3 scripts/cross_check.py --digest --mode uniform --games 286 --seed 3003
 """
 from __future__ import annotations
@@ -43,7 +45,7 @@ from infochain import (
     HierarchySpec,
     NotCovered,
     UniformPrior,
-    build_grid,
+    breakpoint_grid,
     conformist_table,
     contrarian_table,
     hierarchy,
@@ -61,10 +63,11 @@ from infochain.cli import hierarchy_doc
 from infochain.oracle import action_rule
 
 HUNDREDTHS = [F(k, 100) for k in range(1, 100)]
+SMALL_DENOMINATORS = sorted({F(k, d) for d in range(2, 51) for k in range(1, d)})
 
 
-def random_binary_game(rng: random.Random) -> HierarchySpec:
-    pool = list(HUNDREDTHS)
+def random_binary_game(rng: random.Random, points=HUNDREDTHS) -> HierarchySpec:
+    pool = list(points)
     rng.shuffle(pool)
     p = pool.pop()
     senders = []
@@ -82,6 +85,12 @@ def random_binary_game(rng: random.Random) -> HierarchySpec:
     return hierarchy(senders, AgentSpec(table(pool.pop())), BinaryPrior(p))
 
 
+def random_off_lattice_game(rng: random.Random) -> HierarchySpec:
+    """`random_binary_game` with a prior and thresholds of denominators 2..50,
+    most of them off the 1/100 lattice."""
+    return random_binary_game(rng, SMALL_DENOMINATORS)
+
+
 def random_uniform_game(rng: random.Random) -> HierarchySpec:
     pool = [t for t in HUNDREDTHS if t != F(1, 2)]
     rng.shuffle(pool)
@@ -92,14 +101,13 @@ def random_uniform_game(rng: random.Random) -> HierarchySpec:
     return hierarchy(senders, AgentSpec(linear_utility(1, -pool.pop())), UniformPrior())
 
 
-def check_binary(games: int, seed: int, resolution: int) -> int:
+def check_binary(games: int, seed: int) -> int:
     rng = random.Random(seed)
     failures = 0
     for i in range(games):
         h = random_binary_game(rng)
         report = solve_binary(h)
-        grid = build_grid(h.prior, resolution)
-        supports = [o.support() for o in solve_spe_grid(h, grid)]
+        supports = [o.support() for o in solve_spe_grid(h, breakpoint_grid(h))]
         if report.support not in supports:
             failures += 1
             print(f"[binary {i}] closed support {report.support} not among "
@@ -111,7 +119,7 @@ def check_binary(games: int, seed: int, resolution: int) -> int:
             failures += 1
             print(f"[binary {i}] closed values {show_pair(report.values)} differ from "
                   f"the oracle's {show_pair(values)}\n  hierarchy: {hierarchy_doc(h)}")
-        if not verify_simple_equilibrium(h, report, grid):
+        if not verify_simple_equilibrium(h, report):
             failures += 1
             print(f"[binary {i}] pass-through verifier rejects closed support "
                   f"{report.support}\n  hierarchy: {hierarchy_doc(h)}")
@@ -174,14 +182,13 @@ def describe(report) -> str:
             f"values {show_pair(report.values)}")
 
 
-def digest_binary(games: int, seed: int, resolution: int) -> None:
+def digest_binary(games: int, seed: int) -> None:
     rng = random.Random(seed)
     for i in range(games):
         h = random_binary_game(rng)
         report = solve_binary(h)
-        grid = build_grid(h.prior, resolution)
-        supports = [o.support() for o in solve_spe_grid(h, grid)]
-        verdict = verify_simple_equilibrium(h, report, grid)
+        supports = [o.support() for o in solve_spe_grid(h, breakpoint_grid(h))]
+        verdict = verify_simple_equilibrium(h, report)
         print(f"binary {i}: closed {describe(report)} spe {show(supports)} "
               f"verified {verdict}")
 
@@ -206,11 +213,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--games", type=int, default=50,
                     help="games per mode (default 50)")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--binary-grid", type=int, default=100,
-                    help="belief grid resolution for the binary oracle; must be a "
-                         "multiple of 100 so the sampled thresholds lie on the grid "
-                         "and the support comparison stays exact; any resolution "
-                         "with --digest (default 100)")
     ap.add_argument("--uniform-grid", type=int, default=200,
                     help="mean grid resolution for the uniform oracle (default 200)")
     ap.add_argument("--digest", action="store_true",
@@ -220,17 +222,15 @@ def main(argv: list[str] | None = None) -> int:
     binary, uniform = args.mode in ("binary", "both"), args.mode in ("uniform", "both")
     if args.digest:
         if binary:
-            digest_binary(args.games, args.seed, args.binary_grid)
+            digest_binary(args.games, args.seed)
         if uniform:
             digest_uniform(args.games, args.seed, args.uniform_grid)
         return 0
-    if binary and args.binary_grid % 100:
-        ap.error("--binary-grid must be a multiple of 100")
 
     failures = 0
     start = time.perf_counter()
     if binary:
-        failures += check_binary(args.games, args.seed, args.binary_grid)
+        failures += check_binary(args.games, args.seed)
     if uniform:
         failures += check_uniform(args.games, args.seed, args.uniform_grid)
     elapsed = time.perf_counter() - start

@@ -93,6 +93,7 @@ from .oracle import (
     ResolutionTooCoarse,
     SeedRequired,
     blackwell_maximal,
+    breakpoint_grid,
     build_grid,
     ic_chain,
     monte_carlo,

@@ -8,12 +8,14 @@ with an optional ``"label"``.  Numeric fields accept integers, decimals, or
 fraction strings like ``"3/10"``; they are kept exact.
 
 Commands: ``classify`` (taxonomy and pivotal structure), ``solve`` (closed-form
-equilibrium), ``oracle`` (grid search and pass-through level sizes), ``compare``
-(closed form against the grid; exits 2 on disagreement), ``vp`` (appointment
-advice), ``simulate`` (seeded Monte Carlo against analytic values), ``curve``
-(first mover's value over the cut grid, as CSV).  Every report is a JSON
-document whose ``hierarchy`` field re-parses under the input schema; ``--out``
-additionally writes the report (and any CSV) into a directory.
+equilibrium), ``oracle`` (brute-force equilibria, on the game's breakpoints for
+a binary game and on the mean grid for a uniform one, with pass-through level
+sizes), ``compare`` (closed form against the oracle; exits 2 on disagreement),
+``vp`` (appointment advice), ``simulate`` (seeded Monte Carlo against analytic
+values), ``curve`` (first mover's value over the cut grid, as CSV).  Every
+report is a JSON document whose ``hierarchy`` field re-parses under the input
+schema; ``--out`` additionally writes the report (and any CSV) into a
+directory.
 """
 from __future__ import annotations
 
@@ -70,7 +72,7 @@ from .oracle import (
     IntervalCut,
     ResolutionTooCoarse,
     SeedRequired,
-    build_grid,
+    breakpoint_grid,
     ic_chain,
     monte_carlo,
     solve_general_grid,
@@ -99,8 +101,8 @@ COMMANDS = ("classify", "solve", "oracle", "compare", "vp", "simulate", "curve")
 #: commands whose work happens on a discretized outcome grid
 _GRID_COMMANDS = ("oracle", "compare")
 
-#: finest --grid those commands accept: the binary oracle's time and memory
-#: grow with the G^2 cells of its belief grid
+#: finest --grid those commands accept: the uniform pair search may visit
+#: each of its about G^2/8 feasible mean pairs
 MAX_GRID = 1000
 
 #: most --trials ``simulate`` accepts: its peak memory grows by about 19 bytes
@@ -227,9 +229,10 @@ def hierarchy_from_doc(doc: Any) -> HierarchySpec:
         raise ParseError("missing prior object", field="prior")
     prior_kind = prior_doc.get("kind")
     if prior_kind == "binary":
-        prior: Union[BinaryPrior, UniformPrior] = BinaryPrior(
-            _ratio_field(prior_doc, "p", "prior")
-        )
+        p = _ratio_field(prior_doc, "p", "prior")
+        if not 0 < p < 1:
+            raise ParseError(f"prior must lie strictly inside (0,1), got {p}", field="prior.p")
+        prior: Union[BinaryPrior, UniformPrior] = BinaryPrior(p)
     elif prior_kind == "uniform":
         prior = UniformPrior()
     else:
@@ -419,13 +422,13 @@ def _cmd_solve(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
 
 def _cmd_oracle(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
     if h.is_binary:
-        grid = build_grid(h.prior, cfg.grid)
+        grid = breakpoint_grid(h)
         chain = ic_chain(h, grid)
         sols = solve_spe_grid(h, grid, chain)
         # the level sets count their masks and build no outcome
         report = {
             "game": "binary",
-            "grid": cfg.grid,
+            "axes": {"q0s": _nums(grid.q0s), "q1s": _nums(grid.q1s)},
             "spe": [_nums(o.support()) for o in sols],
             "pass_levels": {str(k): len(v) for k, v in sorted(chain.levels.items())},
             "garble_proof_size": len(chain.garble_proof),
@@ -443,9 +446,11 @@ def _cmd_oracle(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
 def _cmd_compare(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
     r = _solve_for(h)
     if h.is_binary:
-        candidates = [o.support() for o in solve_spe_grid(h, build_grid(h.prior, cfg.grid))]
+        grid = breakpoint_grid(h)
+        candidates = [o.support() for o in solve_spe_grid(h, grid)]
         matched = r.support in candidates
         tolerance = Fraction(0)
+        scope = {"axes": {"q0s": _nums(grid.q0s), "q1s": _nums(grid.q1s)}}
     else:
         mine = (HALF, HALF) if len(r.support) == 1 else r.support
         candidates = solve_general_grid(h, cfg.grid)
@@ -454,9 +459,10 @@ def _cmd_compare(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
             all(abs(a - b) <= tolerance for a, b in zip(mine, cand))
             for cand in candidates
         )
+        scope = {"grid": cfg.grid}
     report = {
         "matched": matched,
-        "grid": cfg.grid,
+        **scope,
         "tolerance": str(tolerance),
         "closed_form": _solve_doc(r),
         "oracle": [_nums(c) for c in candidates],
@@ -656,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, metavar="PATH",
                         help="hierarchy file (JSON)")
     parser.add_argument("--grid", type=int, default=100, metavar="G",
-                        help="grid resolution for oracle/compare/curve (default 100)")
+                        help="mean grid for curve and uniform oracle/compare (default 100)")
     parser.add_argument("--trials", type=int, default=10_000, metavar="N",
                         help="Monte Carlo trials for simulate (default 10000)")
     parser.add_argument("--seed", type=int, default=None, metavar="S",

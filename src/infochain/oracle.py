@@ -4,12 +4,14 @@ Everything here works from raw utilities and exhaustive enumeration — no
 pivotal-agent shortcuts — so closed-form solvers can be checked against an
 independent route:
 
-* a discretized outcome grid, held as its two coordinate axes, and the chain
-  of incentive-compatibility level sets (which outcomes each intermediary
-  would pass along, given what later intermediaries will pass), computed on
-  cell indices (i, j) into those axes with one integer value table per seat,
-  over the grid's informative core (`_core`, which drops the cells whose
-  posteriors the receiver answers as she would the prior),
+* a discretized outcome grid, held as its two coordinate axes: a lattice
+  (`build_grid`) or the game's breakpoints (`breakpoint_grid`, on which the
+  answers are the continuum's), and the chain of incentive-compatibility
+  level sets (which outcomes each intermediary would pass along, given what
+  later intermediaries will pass), computed on cell indices (i, j) into
+  those axes with one integer value table per seat, over the grid's
+  informative core (`_core`, which drops the cells whose posteriors the
+  receiver answers as she would the prior),
 * grid subgame-perfect equilibrium for the binary game,
 * exhaustive mean-pair search for the uniform-state game, each induced
   subgame answered by the grid equilibrium of a binary stand-in chain,
@@ -166,20 +168,98 @@ def build_grid(prior: BinaryPrior, resolution: int) -> OutcomeGrid:
     return OutcomeGrid(prior, *_axes(prior.p, lattice))
 
 
+def breakpoint_grid(h: HierarchySpec, *extra: Fraction) -> OutcomeGrid:
+    """The grid of a binary chain whose axes are its *breakpoints*: 0, the
+    prior, 1 and every agent's indifference belief inside (0, 1), the zero
+    -a/b of its gain line a + b q (`_gain_line`); then the points ``extra``.
+    No lattice.
+
+    Claim: on any axes that hold the breakpoints, every level set is the
+    continuum's (all cells 0 <= q0 <= p <= q1 <= 1) restricted to the grid,
+    and player 1's argmax, with the flat cells standing in as silence as in
+    `solve_spe_grid`, has the continuum's Blackwell-maximal elements, which
+    are breakpoint cells.  It needs seat n's indifference belief to differ
+    from the receiver's, which a strict `hierarchy` guarantees.
+
+    (i) Setting.  The receiver's action is a step in q (`_core`), so it
+    differs from a(p), her action at the prior, on one side of p only;
+    mirroring q -> 1 - q, which maps cones to cones and breakpoints to
+    breakpoints, puts that side above p.  There it differs on M = (t, 1] or
+    [t, 1], t her indifference belief, closed when the tie rule gives t the
+    other action.  A cell is flat unless q0 < p and q1 is in M; flat cells
+    are worth the silent value to every seat and are in every level
+    (`_core`).  Relative to silence, seat k values a cell c = (x0, x1) that
+    is not flat at D(c) = w1 h(x1), where w0, w1 are its weights and h = h_k
+    is k's gain from the receiver leaving a(p): plus or minus k's gain line,
+    affine, of one sign between consecutive breakpoints.
+
+    (ii) Identity.  With a = 1/(p - x0) and b = 1/(x1 - p), D = (h(p) b +
+    h') / (a + b), h' the slope of h, and h(p) = w0 h(x0) + w1 h(x1).  So for
+    c' in c's cone, a' = a + da and b' = b + db with da, db >= 0, and
+    (a' + b') (D(c') - D(c)) = w0 h(x0) db - w1 h(x1) da.
+
+    (iii) Rows.  For x0 < p let Z_{n+1}(x0) = M and, for k = n..2,
+    Z_k = Z_{k+1} & {h_k >= 0} when h_k(x0) <= 0, and otherwise the least
+    element of Z_{k+1} if it is in {h_k >= 0} (else empty).  By induction
+    from level n+1, which holds every cell: (R_k) a cell (x0, x1) that is
+    not flat is in level k iff x1 is in Z_k(x0); (S_k) if two such cells
+    c = (x0, x1) and c' = (y0, y1) in its cone are in level k, so is
+    (x0, y1).  Step: let c, not flat, be in level k+1.  The silent corner is
+    in level k+1 and in c's cone, so c is out if h_k(x1) < 0.  Otherwise no
+    flat cell beats c, and by (ii) a c' of level k+1 that is not flat beats
+    c only if h_k(x0) > 0 and db > 0, i.e. y1 < x1; then (x0, y1), in level
+    k+1 by S_{k+1}, beats c too (da = 0).  That is R_k.  For S_k, (x0, y1) is in
+    level k+1 by S_{k+1} and h_k(y1) >= 0 as c' is in level k; so it is in
+    level k by R_k when h_k(x0) <= 0, and otherwise y1 = x1, the least
+    element of Z_{k+1}(x0).  The proof reads only cells and cones, so it
+    holds on any grid as well, with M and the least elements taken there.
+
+    (iv) Levels.  Each Z_k is an interval, and from Z_n down it is closed
+    with breakpoint ends: {h_k >= 0} is empty, [0, 1] or a closed interval
+    ending at k's belief, and if t is not in M the tie rule gives h_n(t) <= 0, so h_n(t)
+    < 0 with the beliefs apart, which keeps {h_n >= 0} off t, while
+    h_n(x0) > 0 > h_n(t) puts h_n below 0 on all of M.  So on axes X that
+    hold the breakpoints each least element is the continuum's and the
+    grid's Z_k is Z_k & X: its levels are the continuum's, restricted.
+
+    (v) Argmax.  Player 1 (h = h_1) takes silence or a cell (x0, z) with z
+    in Z_2(x0).  By (ii) with da = 0 or db = 0, D moves in z with the sign
+    of -h(x0) and in x0 with that of -h(z), continuously in x0.  For x0 in a
+    gap (t_a, t_b) between breakpoints, each h_k(t_a) is h_k(x0)'s sign or
+    0, so the recursion at t_a intersects where the gap's takes a least
+    element, and by induction Z_2(t_a) holds Z_2(x0), with the same least
+    element when that is not empty.  Z_2(x0) is closed with breakpoint ends
+    (for n = 1 it is M, and an open end t has h(t) < 0, so no z near t is
+    worth silence).  So a cell (x0, z) worth at least silence, h(z) >= 0, is
+    beaten or tied by (t_a, z) if x0 is in a gap, tied only when h(z) = 0,
+    and by an end of z's gap if z is in one, tied (by the upper end) only
+    when h(x0) = 0; a tie holds (x0, z) in its cone.  So the maximum is
+    attained on breakpoint cells, every argmax cell lies in the cone of one
+    of them, and the Blackwell-maximal ones are breakpoint cells, on every
+    grid that holds them."""
+    lines = [_gain_line(agent.utility) for agent in (*h.senders, h.receiver)]
+    beliefs = [w for a, b in lines if b and 0 < (w := -a / b) < 1]
+    return OutcomeGrid(h.prior, *_axes(h.prior.p, (Fraction(0), Fraction(1), *beliefs, *extra)))
+
+
 # ---------------------------------------------------------------------------
 # receiver behavior and raw outcome values
 # ---------------------------------------------------------------------------
 
+def _gain_line(u: Utility) -> tuple[Fraction, Fraction]:
+    """(a, b) such that u's gain from action 1 at a posterior or mean q is
+    a + b * q, read off u's fields."""
+    if isinstance(u, LinearUtility):
+        return u.beta, u.alpha
+    return u.u01 - u.u00, (u.u11 - u.u10) - (u.u01 - u.u00)
+
+
 def _gain_sign(u: Utility) -> Callable[[Fraction], int]:
     """The sign of u's gain from action 1 at a posterior or mean q, decided on
-    integers.  Both utility types have the gain a + b * q, read off u's
-    fields; at q = n/d (d > 0) it has the sign of an * d + bn * n, where
-    an = a.num * b.den and bn = b.num * a.den."""
-    if isinstance(u, LinearUtility):
-        a, b = u.beta, u.alpha
-    else:
-        a = u.u01 - u.u00
-        b = u.u11 - u.u10 - a
+    integers: with the gain a + b * q (`_gain_line`), at q = n/d (d > 0) it
+    has the sign of an * d + bn * n, where an = a.num * b.den and
+    bn = b.num * a.den."""
+    a, b = _gain_line(u)
     an, bn = a.numerator * b.denominator, b.numerator * a.denominator
 
     def sign(q: Fraction) -> int:
@@ -260,10 +340,11 @@ def _value_table(u: TableUtility, actions: Actions, grid: OutcomeGrid) -> list[l
     so its width is k/G (cells with p as a coordinate are silent) and L is at
     most (d/G) * lcm(1..G).  lcm(1..G) has 136 bits at G = 100 and 1438 bits
     at the CLI's ``MAX_GRID`` = 1000; on games with hundredths for payoffs
-    and prior, L reaches about 144 and 1443 bits.  On a breakpoint grid
-    (`_stand_in`) of a chain with n senders each axis holds at most n + 3
-    coordinates (0, p, 1 and the n + 1 crossings), so at most (n + 2)^2
-    widths occur, each a positive integer at most d, and L <= d^((n+2)^2).
+    and prior, L reaches about 144 and 1443 bits.  On a `breakpoint_grid`
+    of a chain with n senders and e extra points each axis holds at most
+    n + 3 + e coordinates (0, p, 1, the n + 1 indifference beliefs and the
+    extra points), so at most (n + 2 + e)^2 widths occur, each a positive
+    integer at most d, and L <= d^((n+2+e)^2).
     On the seed-3003 uniform draws at G = 200 no stand-in entry exceeds 65
     bits.
     """
@@ -605,20 +686,14 @@ def _uniform_subgame_tables(h: HierarchySpec, m0: Fraction, m1: Fraction) -> Hie
 
 
 def _stand_in(h: HierarchySpec, m0: Fraction, m1: Fraction) -> tuple[HierarchySpec, OutcomeGrid]:
-    """`_uniform_subgame_tables` for means m0 < 1/2 < m1, and its breakpoint
-    grid: the axes hold 0, its prior, 1 and the crossing w of each of seats
-    2..n and the receiver inside (m0, m1), mapped to (w - m0)/(m1 - m0), and
-    no lattice.  Between two consecutive coordinates the receiver's action
-    is constant and each seat's value is monotone in each coordinate (see
-    `solve_general_grid`), so along one coordinate a seat's best contraction
-    sits on them.  That these coordinates suffice for the whole recursion is
-    checked, not proved: against the closed form's subgame answer and the
-    verifier's answer on a 1/100 lattice (tests/test_oracle.py)."""
+    """`_uniform_subgame_tables` for means m0 < 1/2 < m1, and its
+    `breakpoint_grid`: an agent with crossing w has the gain line
+    g(m0) + (g(m1) - g(m0)) q there, so the axes hold 0, the stand-in's
+    prior, 1 and each crossing of seats 2..n and the receiver inside
+    (m0, m1), mapped to (w - m0)/(m1 - m0).  The proof there makes the
+    stand-in's answer its continuum answer."""
     sub = _uniform_subgame_tables(h, m0, m1)
-    width = m1 - m0
-    crossings = (a.utility.crossing for a in (*h.senders[1:], h.receiver))
-    points = [(w - m0) / width for w in crossings if m0 < w < m1]
-    return sub, OutcomeGrid(sub.prior, *_axes(sub.prior.p, (Fraction(0), Fraction(1), *points)))
+    return sub, breakpoint_grid(sub)
 
 
 def verify_simple_equilibrium(
@@ -631,13 +706,13 @@ def verify_simple_equilibrium(
     grid best responses downstream.
 
     ``eq`` may be a solver report (anything with .outcome or .support) or a
-    raw outcome.  ``grid`` is a grid or a resolution, 100 when omitted.  For
-    uniform-state hierarchies the scan runs in the induced subgame on the
-    stand-in's breakpoint grid (`_stand_in`), whatever the grid; a resolution
-    below 10 is still refused.
+    raw outcome.  ``grid`` is a grid or a resolution; when it is omitted, a
+    binary outcome is checked on `breakpoint_grid` with its own posteriors
+    added, which gives its cell the continuum's verdict.  For uniform-state
+    hierarchies the scan runs in the induced subgame on the stand-in's
+    breakpoint grid (`_stand_in`), whatever the grid; a resolution below 10
+    is still refused.
     """
-    if grid is None:
-        grid = 100
     if isinstance(grid, int):
         _check_resolution(grid)
     outcome = getattr(eq, "outcome", eq)
@@ -648,7 +723,9 @@ def verify_simple_equilibrium(
     if h.is_binary:
         if not isinstance(outcome, BinaryOutcome):
             outcome = make_outcome(support[0], support[-1], h.prior)
-        if isinstance(grid, int):
+        if grid is None:
+            grid = breakpoint_grid(h, outcome.q0, outcome.q1)
+        elif isinstance(grid, int):
             grid = build_grid(h.prior, grid)
         if outcome.p != grid.prior.p:
             return False
@@ -789,10 +866,12 @@ def solve_general_grid(h: HierarchySpec, resolution: int) -> list[tuple[Fraction
     within one pattern, in the direction of (iii)).  Two informative cells
     with no coordinate in common, one holding m0 or m1, are ordered by
     magnitudes that move with the pair, and nothing here shows that such a
-    comparison never decides a level, or the argmax, differently within one
-    type.  That step is checked, not proved: `test_matches_the_per_pair_search`
-    answers every lattice pair with its own stand-in and requires the same
-    supports.
+    comparison never decides the argmax differently within one type.  It
+    never decides a level: by (iii) of `breakpoint_grid`, each level is read
+    off the signs of gains at coordinates and the coordinates' order, which
+    (i) and (ii) fix.  The argmax step is checked, not proved:
+    `test_matches_the_per_pair_search` answers every lattice pair with its
+    own stand-in and requires the same supports.
 
     The pairs of one order type form a *block*.  The place of a lattice mean
     k/G is its tuple of signs against every crossing and against 1/2, so the

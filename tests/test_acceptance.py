@@ -49,6 +49,7 @@ from infochain.general_solver import (
 )
 from infochain.oracle import (
     IntervalCut,
+    breakpoint_grid,
     build_grid,
     ic_chain,
     identity_experiment,
@@ -450,3 +451,46 @@ def test_criterion_8_structural_laws_hold(announce):
     assert right.support[0] - left.support[0] == eps
     announce("criterion 8: PASS - nesting, contraction order, affine invariance, "
           "peak signs, and junction continuity all hold")
+
+
+# ---------------------------------------------------------------------------
+# criterion 9: the binary oracle on the game's breakpoints needs no lattice
+# ---------------------------------------------------------------------------
+
+def test_criterion_9_breakpoint_oracle_needs_no_lattice(binary_suite, grid_cache, announce):
+    start = time.perf_counter()
+    rng = random.Random(4711)
+    on_lattice = 0
+    for _ in range(500):
+        h = _cross_check.random_off_lattice_game(rng)
+        report = solve_binary(h)
+        supports = [o.support() for o in solve_spe_grid(h, breakpoint_grid(h))]
+        assert report.support in supports, (h, report.support, supports)
+        assert verify_simple_equilibrium(h, report)
+        on_lattice += report.support in [o.support() for o in solve_spe_grid(h, grid_cache(h.prior))]
+    assert on_lattice < 500  # the draws do leave the lattice
+
+    # on hundredths the G=100 lattice holds every breakpoint, so the two
+    # oracles must give the same equilibria and the same verdicts
+    rng = random.Random(77)
+    games = binary_suite + [(h, solve_binary(h)) for h in
+                            (_random_binary_game(rng) for _ in range(200))]
+    step, widened, rejected = F(1, 100), 0, 0
+    for h, report in games:
+        dense = grid_cache(h.prior)
+        assert solve_spe_grid(h, breakpoint_grid(h)) == solve_spe_grid(h, dense), h
+        supports = [report.support]
+        if report.kind is EquilibriumKind.PARTIAL:
+            lo, hi = report.support
+            supports.append((lo - step, hi) if lo >= step else (lo, hi + step))
+            widened += 1
+        for support in supports:
+            verdict = verify_simple_equilibrium(h, support)
+            assert verdict == verify_simple_equilibrium(h, support, dense), (h, support)
+            rejected += not verdict
+    assert rejected >= 10
+    elapsed = time.perf_counter() - start
+    announce(f"criterion 9: PASS - 500/500 off-lattice closed forms in the breakpoint "
+             f"SPE set and verified (the G=100 set holds {on_lattice}); 700/700 SPE sets "
+             f"and {700 + widened} verdicts equal to G=100 ({widened} widened supports, "
+             f"{rejected} rejected) ({elapsed:.1f}s)")

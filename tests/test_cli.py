@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -242,7 +243,9 @@ class TestCommands:
         assert code == 0
         assert doc["matched"] is True
 
-    def test_compare_flags_off_grid_support(self, capsys, tmp_path):
+    def test_compare_matches_an_off_lattice_support(self, capsys, tmp_path):
+        # 23/100 is off the 1/20 lattice, but the binary oracle runs on the
+        # game's breakpoints, so --grid steers nothing and both routes agree
         doc = json.loads(PARTIAL.read_text())
         u = conformist_table(F(23, 100))
         doc["senders"][1]["params"] = {
@@ -250,12 +253,29 @@ class TestCommands:
         }
         path = tmp_path / "offgrid.json"
         path.write_text(json.dumps(doc))
-        code, out = run_json(capsys, "compare", "--config", path, "--grid", 20)
+        reports = []
+        for grid in (20, 100):
+            code, out = run_json(capsys, "compare", "--config", path, "--grid", grid)
+            assert code == 0
+            assert out["matched"] is True
+            assert out["closed_form"]["support"] == ["23/100", "1"]
+            assert ["23/100", "1"] in out["oracle"]
+            assert "23/100" in out["axes"]["q0s"] and "grid" not in out
+            reports.append(out)
+        assert reports[0] == reports[1]
+
+    def test_compare_exits_two_on_a_wrong_closed_form(self, capsys, monkeypatch):
+        # the breakpoint oracle has no resolution to miss a support with, so a
+        # mismatch takes a closed form that reports the wrong one
+        from infochain import cli
+
+        solve = cli.solve_binary
+        monkeypatch.setattr(cli, "solve_binary", lambda h: replace(solve(h), support=(F(0), F(1))))
+        code, out = run_json(capsys, "compare", "--config", PARTIAL)
         assert code == 2
         assert out["matched"] is False
-        assert out["closed_form"]["support"] == ["23/100", "1"]
-        code, out = run_json(capsys, "compare", "--config", path, "--grid", 100)
-        assert code == 0
+        assert out["closed_form"]["support"] == ["0", "1"]
+        assert out["oracle"] == [["1/4", "1"]]
 
     @pytest.mark.parametrize("grid", [20, 100])
     def test_compare_agrees_on_an_extremist_receiver(self, capsys, tmp_path, grid):
@@ -407,6 +427,19 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(PARTIAL), "--seed", "1",
                      "--trials", "1"]) == 1
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("p", ["0", "1", "2"])
+    def test_binary_prior_outside_the_open_interval_exits_one(self, capsys, tmp_path, p):
+        doc = json.loads(PARTIAL.read_text())
+        doc["prior"]["p"] = p
+        path = tmp_path / "prior.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: prior must lie strictly inside (0,1), got {p} (field 'prior.p')\n"
+        )
 
     def test_huge_trial_count_exits_one_before_simulating(self, capsys, monkeypatch):
         from infochain import cli

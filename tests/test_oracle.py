@@ -7,6 +7,7 @@ from __future__ import annotations
 import ast
 import json
 import random
+from bisect import bisect_left
 from dataclasses import fields
 from functools import cache
 from fractions import Fraction as F
@@ -27,8 +28,10 @@ from infochain import (
     OutcomeGrid,
     ResolutionTooCoarse,
     SeedRequired,
+    TableUtility,
     UniformPrior,
     blackwell_maximal,
+    breakpoint_grid,
     build_grid,
     canonicalize_receiver,
     conformist_table,
@@ -142,6 +145,79 @@ class TestGrid:
 
     def test_grid_holds_only_coordinates(self):
         assert [f.name for f in fields(OutcomeGrid)] == ["prior", "q0s", "q1s"]
+
+
+def _gain_line_games(rng, count):
+    """Unvalidated binary chains of table agents with arbitrary gain lines
+    (either slope sign, the indifference belief inside (0, 1) or beyond it,
+    payoff offsets), the prior and the beliefs inside (0, 1) all distinct."""
+    games = []
+    for _ in range(count):
+        den = rng.choice([13, 20, 30, 97])
+        pool = [F(k, den) for k in range(-den // 4, den + den // 4)]
+        pool = [q for q in pool if q not in (0, 1)]
+        rng.shuffle(pool)
+        p = next(q for q in pool if 0 < q < 1)
+        pool.remove(p)
+        agents = []
+        for _ in range(rng.randint(2, 6)):
+            belief, slope = pool.pop(), rng.choice([1, -1, 2, F(-1, 3)])
+            u00, u10 = F(rng.randint(-3, 3), 7), F(rng.randint(-3, 3), 5)
+            # gain from action 1 at q: slope * (q - belief)
+            agents.append(TableUtility(u00, u10, u00 - slope * belief,
+                                       u10 + slope * (1 - belief)))
+        games.append(HierarchySpec(tuple(map(AgentSpec, agents[:-1])), AgentSpec(agents[-1]),
+                                   BinaryPrior(p)))
+    return games
+
+
+class TestBreakpointGrid:
+    """`breakpoint_grid` carries the continuum's levels and equilibria; here a
+    refinement with random points inside every gap between breakpoints
+    stands in for the continuum."""
+
+    def test_axes_hold_the_beliefs_and_the_extra_points(self):
+        h = hierarchy(
+            [conformist_table(F(7, 20)), zero_extremist_table(), contrarian_table(F(1, 5))],
+            conformist_table(F(2, 3)), P,
+        )
+        grid = breakpoint_grid(h)
+        assert grid.q0s == (0, F(1, 5), F(7, 20), F(3, 5))
+        assert grid.q1s == (F(3, 5), F(2, 3), 1)
+        grid = breakpoint_grid(h, F(1, 7), F(9, 10))
+        assert grid.q0s == (0, F(1, 7), F(1, 5), F(7, 20), F(3, 5))
+        assert grid.q1s == (F(3, 5), F(2, 3), F(9, 10), 1)
+
+    def test_levels_and_equilibria_match_a_refinement(self):
+        rng = random.Random(2024)
+        for h in _gain_line_games(rng, 150):
+            grid = breakpoint_grid(h)
+            marks = sorted({*grid.q0s, *grid.q1s})
+            extra = [lo + (hi - lo) * F(rng.randint(1, 99), 100)
+                     for lo, hi in zip(marks, marks[1:]) for _ in range(2)]
+            fine = breakpoint_grid(h, *extra)
+            levels = dict(oracle._level_sets(h, grid, oracle._receiver_actions(h, grid), 1))
+            fine_levels = dict(oracle._level_sets(h, fine, oracle._receiver_actions(h, fine), 1))
+            rows = [fine.q0s.index(q) for q in grid.q0s]
+            cols = [fine.q1s.index(q) for q in grid.q1s]
+
+            def place(q):
+                """q's breakpoint, or the gap it lies in"""
+                i = bisect_left(marks, q)
+                return (i, marks[i] == q)
+
+            for k, mask in levels.items():
+                assert mask == [[fine_levels[k][i][j] for j in cols] for i in rows]
+                # each level is a union of places
+                seen = {}
+                for i, q0 in enumerate(fine.q0s):
+                    for j, q1 in enumerate(fine.q1s):
+                        key = (place(q0), place(q1))
+                        assert seen.setdefault(key, fine_levels[k][i][j]) == fine_levels[k][i][j]
+            assert support_set(solve_spe_grid(h, grid)) == support_set(solve_spe_grid(h, fine))
+            for i, j in rng.sample(fine.cells(), 5):
+                out = make_outcome(fine.q0s[i], fine.q1s[j], h.prior)
+                assert verify_simple_equilibrium(h, out) == verify_simple_equilibrium(h, out, fine)
 
 
 class TestLevelSets:
@@ -312,7 +388,8 @@ class TestOutcomesOnlyAtTheBoundary:
     @pytest.mark.parametrize("resolution", [20, 100])
     def test_oracle_command_counts_the_masks(self, monkeypatch, capsys, config, resolution):
         # `infochain oracle` reports level and garble-proof sizes by counting
-        # masks, building outcomes only for the equilibria it prints
+        # masks, building outcomes only for the equilibria it prints; on a
+        # binary game it works on the breakpoint grid whatever --grid says
         made = []
 
         def counted(*args):
@@ -326,7 +403,10 @@ class TestOutcomesOnlyAtTheBoundary:
         assert 1 <= len(made) <= len(doc["spe"])
         monkeypatch.undo()
         h = ingest(CONFIGS / config)
-        chain = ic_chain(h, build_grid(h.prior, resolution))
+        grid = breakpoint_grid(h)
+        assert "grid" not in doc
+        assert doc["axes"] == {"q0s": [str(q) for q in grid.q0s], "q1s": [str(q) for q in grid.q1s]}
+        chain = ic_chain(h, grid)
         levels = sorted(chain.levels.items())
         assert doc["pass_levels"] == {str(k): len(tuple(v)) for k, v in levels}
         assert doc["garble_proof_size"] == len(tuple(chain.garble_proof))
