@@ -6,11 +6,12 @@ reproduces the answer by brute force: the binary mode asks for the closed
 support among the grid equilibria on the game's breakpoints
 (`breakpoint_grid`, exact, so any mismatch is real) and for each player's
 closed-form value to equal the oracle's from-definition value of the closed
-outcome, the uniform mode for a surviving mean pair within one step of the
-``--uniform-grid`` lattice of the closed support, and both for the
-pass-through verifier to accept the closed-form report.  Any disagreement or
-rejection is printed with the full hierarchy and both answers, and the exit
-code is nonzero so the script can gate a long soak run.
+outcome, the uniform mode for the closed support among the surviving mean
+pairs of the pair search on the game's breakpoint means
+(`breakpoint_means`, exact as well), and both for the pass-through verifier
+to accept the closed-form report.  Any disagreement or rejection is printed
+with the full hierarchy and both answers, and the exit code is nonzero so
+the script can gate a long soak run.  No mode takes a grid.
 
 With ``--digest`` nothing is compared: the script prints both routes'
 answers, one line per drawn game and no timings, so that the output of two
@@ -18,8 +19,9 @@ versions of the package can be diffed.  Each line holds the closed form's
 answer (kind, support, no-information cause or condition trace, the pivotal
 agents and every player's exact value; ``not-covered: <reason>`` for a
 uniform game outside its region), then the oracle's (for a binary game the
-breakpoint-grid SPE supports, for a uniform game the pair search's supports)
-and the pass-through verdict on the closed-form report.
+breakpoint-grid SPE supports, for a uniform game the supports of the pair
+search on the breakpoint means) and the pass-through verdict on the
+closed-form report.
 
 Example:
     python3 scripts/cross_check.py --mode both --games 100 --seed 7
@@ -46,6 +48,7 @@ from infochain import (
     NotCovered,
     UniformPrior,
     breakpoint_grid,
+    breakpoint_means,
     conformist_table,
     contrarian_table,
     hierarchy,
@@ -64,6 +67,7 @@ from infochain.oracle import action_rule
 
 HUNDREDTHS = [F(k, 100) for k in range(1, 100)]
 SMALL_DENOMINATORS = sorted({F(k, d) for d in range(2, 51) for k in range(1, d)})
+OFF_LATTICE_MEANS = sorted({F(k, d) for d in (3, 4, 5, 6, 8, 10, 12) for k in range(1, d)})
 
 
 def random_binary_game(rng: random.Random, points=HUNDREDTHS) -> HierarchySpec:
@@ -91,14 +95,20 @@ def random_off_lattice_game(rng: random.Random) -> HierarchySpec:
     return random_binary_game(rng, SMALL_DENOMINATORS)
 
 
-def random_uniform_game(rng: random.Random) -> HierarchySpec:
-    pool = [t for t in HUNDREDTHS if t != F(1, 2)]
+def random_uniform_game(rng: random.Random, points=HUNDREDTHS) -> HierarchySpec:
+    pool = [t for t in points if t != F(1, 2)]
     rng.shuffle(pool)
     senders = []
     for _ in range(rng.randint(1, 4)):
         slope = 1 if rng.random() < 0.75 else -1
         senders.append(AgentSpec(linear_utility(slope, -slope * pool.pop())))
     return hierarchy(senders, AgentSpec(linear_utility(1, -pool.pop())), UniformPrior())
+
+
+def random_off_lattice_uniform_game(rng: random.Random) -> HierarchySpec:
+    """`random_uniform_game` with crossings of denominators 3, 4, 5, 6, 8, 10
+    and 12, many of them off the 1/100 and 1/200 lattices."""
+    return random_uniform_game(rng, OFF_LATTICE_MEANS)
 
 
 def check_binary(games: int, seed: int) -> int:
@@ -126,9 +136,8 @@ def check_binary(games: int, seed: int) -> int:
     return failures
 
 
-def check_uniform(games: int, seed: int, resolution: int) -> int:
+def check_uniform(games: int, seed: int) -> int:
     rng = random.Random(seed)
-    tol = F(1, resolution)
     failures = skipped = solved = 0
     while solved < games:
         h = random_uniform_game(rng)
@@ -138,16 +147,12 @@ def check_uniform(games: int, seed: int, resolution: int) -> int:
             skipped += 1
             continue
         solved += 1
-        if report.kind is GeneralKind.NO_INFO:
-            target = (F(1, 2), F(1, 2))
-        else:
-            target = report.support
-        pairs = solve_general_grid(h, resolution)
-        if not any(abs(a - target[0]) <= tol and abs(b - target[1]) <= tol
-                   for a, b in pairs):
+        target = (F(1, 2), F(1, 2)) if report.kind is GeneralKind.NO_INFO else report.support
+        pairs = solve_general_grid(h, breakpoint_means(h))
+        if target not in pairs:
             failures += 1
-            print(f"[uniform {solved - 1}] closed support {target} not within "
-                  f"{tol} of any of {pairs}\n  hierarchy: {hierarchy_doc(h)}")
+            print(f"[uniform {solved - 1}] closed support {target} not among "
+                  f"{pairs}\n  hierarchy: {hierarchy_doc(h)}")
         if not verify_simple_equilibrium(h, report):
             failures += 1
             print(f"[uniform {solved - 1}] subgame verifier rejects closed support "
@@ -193,7 +198,7 @@ def digest_binary(games: int, seed: int) -> None:
               f"verified {verdict}")
 
 
-def digest_uniform(games: int, seed: int, resolution: int) -> None:
+def digest_uniform(games: int, seed: int) -> None:
     rng = random.Random(seed)
     for i in range(games):
         h = random_uniform_game(rng)
@@ -204,7 +209,7 @@ def digest_uniform(games: int, seed: int, resolution: int) -> None:
         else:
             closed, verdict = describe(report), verify_simple_equilibrium(h, report)
         print(f"uniform {i}: closed {closed} "
-              f"pairs {show(solve_general_grid(h, resolution))} verified {verdict}")
+              f"pairs {show(solve_general_grid(h, breakpoint_means(h)))} verified {verdict}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -213,8 +218,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--games", type=int, default=50,
                     help="games per mode (default 50)")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--uniform-grid", type=int, default=200,
-                    help="mean grid resolution for the uniform oracle (default 200)")
     ap.add_argument("--digest", action="store_true",
                     help="print both routes' answers per drawn game instead of "
                          "checking them, with no timings")
@@ -224,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
         if binary:
             digest_binary(args.games, args.seed)
         if uniform:
-            digest_uniform(args.games, args.seed, args.uniform_grid)
+            digest_uniform(args.games, args.seed)
         return 0
 
     failures = 0
@@ -232,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     if binary:
         failures += check_binary(args.games, args.seed)
     if uniform:
-        failures += check_uniform(args.games, args.seed, args.uniform_grid)
+        failures += check_uniform(args.games, args.seed)
     elapsed = time.perf_counter() - start
     verdict = "OK" if failures == 0 else f"{failures} MISMATCHES"
     print(f"{verdict} ({args.mode}, {args.games} games/mode, {elapsed:.1f}s)")

@@ -94,6 +94,7 @@ from .oracle import (
     SeedRequired,
     blackwell_maximal,
     breakpoint_grid,
+    breakpoint_means,
     build_grid,
     ic_chain,
     monte_carlo,

@@ -8,14 +8,14 @@ with an optional ``"label"``.  Numeric fields accept integers, decimals, or
 fraction strings like ``"3/10"``; they are kept exact.
 
 Commands: ``classify`` (taxonomy and pivotal structure), ``solve`` (closed-form
-equilibrium), ``oracle`` (brute-force equilibria, on the game's breakpoints for
-a binary game and on the mean grid for a uniform one, with pass-through level
-sizes), ``compare`` (closed form against the oracle; exits 2 on disagreement),
-``vp`` (appointment advice), ``simulate`` (seeded Monte Carlo against analytic
-values), ``curve`` (first mover's value over the cut grid, as CSV).  Every
-report is a JSON document whose ``hierarchy`` field re-parses under the input
-schema; ``--out`` additionally writes the report (and any CSV) into a
-directory.
+equilibrium), ``oracle`` (brute-force equilibria on the game's breakpoints:
+beliefs for a binary game, with pass-through level sizes, and means for a
+uniform one), ``compare`` (closed form against the oracle, matched exactly;
+exits 2 on disagreement), ``vp`` (appointment advice), ``simulate`` (seeded
+Monte Carlo against analytic values), ``curve`` (first mover's value over the
+cut grid, as CSV; the only command that reads ``--grid``).  Every report is a
+JSON document whose ``hierarchy`` field re-parses under the input schema;
+``--out`` additionally writes the report (and any CSV) into a directory.
 """
 from __future__ import annotations
 
@@ -70,9 +70,9 @@ from .advisor import NoImprovement, optimal_vp_binary, optimal_vp_general
 from .oracle import (
     EmptyLevelSet,
     IntervalCut,
-    ResolutionTooCoarse,
     SeedRequired,
     breakpoint_grid,
+    breakpoint_means,
     ic_chain,
     monte_carlo,
     solve_general_grid,
@@ -97,13 +97,6 @@ class ParseError(ChainError):
 
 
 COMMANDS = ("classify", "solve", "oracle", "compare", "vp", "simulate", "curve")
-
-#: commands whose work happens on a discretized outcome grid
-_GRID_COMMANDS = ("oracle", "compare")
-
-#: finest --grid those commands accept: the uniform pair search may visit
-#: each of its about G^2/8 feasible mean pairs
-MAX_GRID = 1000
 
 #: most --trials ``simulate`` accepts: its peak memory grows by about 19 bytes
 #: per trial (54 MB at this ceiling)
@@ -136,20 +129,13 @@ class RunConfig:
             raise ValidationError(f"unknown command {self.command!r}")
         if self.fmt not in ("text", "csv"):
             raise ValidationError(f"format must be 'text' or 'csv', got {self.fmt!r}")
-        if self.grid < 1:
-            raise ValidationError(f"grid resolution must be positive, got {self.grid}")
-        if self.command in _GRID_COMMANDS and self.grid < 10:
-            raise ResolutionTooCoarse(
-                f"{self.command} needs a grid of at least 10 steps, got {self.grid}"
-            )
-        if self.command in _GRID_COMMANDS and self.grid > MAX_GRID:
-            raise ValidationError(
-                f"{self.command} takes a grid of at most {MAX_GRID} steps, got {self.grid}"
-            )
-        if self.command == "curve" and self.grid > _MAX_CURVE_GRID:
-            raise ValidationError(
-                f"curve takes a grid of at most {_MAX_CURVE_GRID} steps, got {self.grid}"
-            )
+        if self.command == "curve":
+            if self.grid < 1:
+                raise ValidationError(f"grid resolution must be positive, got {self.grid}")
+            if self.grid > _MAX_CURVE_GRID:
+                raise ValidationError(
+                    f"curve takes a grid of at most {_MAX_CURVE_GRID} steps, got {self.grid}"
+                )
         if self.command == "simulate":
             if self.seed is None:
                 raise SeedRequired("simulate needs --seed; runs must be reproducible")
@@ -434,11 +420,11 @@ def _cmd_oracle(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
             "garble_proof_size": len(chain.garble_proof),
         }
     else:
-        sols = solve_general_grid(h, cfg.grid)
+        means = breakpoint_means(h)
         report = {
             "game": "uniform",
-            "grid": cfg.grid,
-            "spe": [_nums(pair) for pair in sols],
+            "means": _nums(means),
+            "spe": [_nums(pair) for pair in solve_general_grid(h, means)],
         }
     return 0, report, {}
 
@@ -448,22 +434,17 @@ def _cmd_compare(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
     if h.is_binary:
         grid = breakpoint_grid(h)
         candidates = [o.support() for o in solve_spe_grid(h, grid)]
-        matched = r.support in candidates
-        tolerance = Fraction(0)
+        mine = r.support
         scope = {"axes": {"q0s": _nums(grid.q0s), "q1s": _nums(grid.q1s)}}
     else:
+        means = breakpoint_means(h)
+        candidates = solve_general_grid(h, means)
         mine = (HALF, HALF) if len(r.support) == 1 else r.support
-        candidates = solve_general_grid(h, cfg.grid)
-        tolerance = Fraction(1, cfg.grid)
-        matched = any(
-            all(abs(a - b) <= tolerance for a, b in zip(mine, cand))
-            for cand in candidates
-        )
-        scope = {"grid": cfg.grid}
+        scope = {"means": _nums(means)}
+    matched = mine in candidates
     report = {
         "matched": matched,
         **scope,
-        "tolerance": str(tolerance),
         "closed_form": _solve_doc(r),
         "oracle": [_nums(c) for c in candidates],
     }
@@ -583,7 +564,6 @@ _INPUT_ERRORS = (
     NoConformist,
     NotCovered,
     SeedRequired,
-    ResolutionTooCoarse,
     EmptyLevelSet,
 )
 
@@ -662,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, metavar="PATH",
                         help="hierarchy file (JSON)")
     parser.add_argument("--grid", type=int, default=100, metavar="G",
-                        help="mean grid for curve and uniform oracle/compare (default 100)")
+                        help="cut grid for curve; no other command reads it (default 100)")
     parser.add_argument("--trials", type=int, default=10_000, metavar="N",
                         help="Monte Carlo trials for simulate (default 10000)")
     parser.add_argument("--seed", type=int, default=None, metavar="S",

@@ -13,8 +13,9 @@ independent route:
   informative core (`_core`, which drops the cells whose posteriors the
   receiver answers as she would the prior),
 * grid subgame-perfect equilibrium for the binary game,
-* exhaustive mean-pair search for the uniform-state game, each induced
-  subgame answered by the grid equilibrium of a binary stand-in chain,
+* exhaustive mean-pair search for the uniform-state game, over a lattice or
+  the game's breakpoint means (`breakpoint_means`), each induced subgame
+  answered by the grid equilibrium of a binary stand-in chain,
 * a pass-through (simple-equilibrium) check, the same level-set recursion
   run on the outcome's contraction cone, and
 * seeded Monte-Carlo signal propagation.
@@ -26,7 +27,7 @@ is an exact rational.  Only Monte Carlo uses floats.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -251,7 +252,8 @@ def _gain_line(u: Utility) -> tuple[Fraction, Fraction]:
     a + b * q, read off u's fields."""
     if isinstance(u, LinearUtility):
         return u.beta, u.alpha
-    return u.u01 - u.u00, (u.u11 - u.u10) - (u.u01 - u.u00)
+    a = u.u01 - u.u00
+    return a, (u.u11 - u.u10) - a
 
 
 def _gain_sign(u: Utility) -> Callable[[Fraction], int]:
@@ -339,7 +341,7 @@ def _value_table(u: TableUtility, actions: Actions, grid: OutcomeGrid) -> list[l
     On `build_grid`'s lattices every informative cell has lattice endpoints,
     so its width is k/G (cells with p as a coordinate are silent) and L is at
     most (d/G) * lcm(1..G).  lcm(1..G) has 136 bits at G = 100 and 1438 bits
-    at the CLI's ``MAX_GRID`` = 1000; on games with hundredths for payoffs
+    at G = 1000; on games with hundredths for payoffs
     and prior, L reaches about 144 and 1443 bits.  On a `breakpoint_grid`
     of a chain with n senders and e extra points each axis holds at most
     n + 3 + e coordinates (0, p, 1, the n + 1 indifference beliefs and the
@@ -813,10 +815,77 @@ def _delivered(
         ) from None
 
 
-def solve_general_grid(h: HierarchySpec, resolution: int) -> list[tuple[Fraction, Fraction]]:
-    """Exhaustive search over player 1's grid mean pairs, each answered by the
-    induced subgame; returns the Blackwell-maximal argmax supports (a
-    degenerate result is reported as (1/2, 1/2)).
+def breakpoint_means(h: HierarchySpec) -> tuple[Fraction, ...]:
+    """The mean axis on which `solve_general_grid` answers a uniform chain
+    with no lattice.  Its *points* are the means in [0, 1] among 0, 1/2 and
+    1; each crossing w of seats 2..n and of the receiver, w - 1/2 and
+    w + 1/2; and v, half of player 1's crossing, and v + 1/2.  The axis is
+    the points in order with one midpoint between each two neighbours, so
+    the points are ``means[::2]``.
+
+    Call the crossings and 1/2 the *marks*: a mean's place (its signs
+    against the marks, `solve_general_grid`) is a mark, or an open gap
+    between neighbouring marks, closed at 0 or 1 where those end it.
+
+    (a) Every order type of a feasible pair m0 <= 1/2 <= m1 <= m0 + 1/2 has
+    a pair of axis means.  Let x0 be the largest axis mean in m0's place and
+    x1 the smallest in m1's: each place holds a point or a midpoint.  For an
+    axis mean t, t <= m0 gives t <= x0, and t >= m1 gives t >= x1.  The
+    marks are points, and every mark b's shifts b - 1/2, b + 1/2 inside
+    [0, 1] are points too.  If m1 is a mark, m1 - 1/2 <= m0 is a point, so
+    x1 = m1 <= x0 + 1/2; if m0 is, m0 + 1/2 >= m1 is a point, so
+    x1 <= m0 + 1/2 = x0 + 1/2.  Otherwise m0 lies in a gap ending at a mark
+    b <= 1/2 and m1 in one starting at a mark c >= 1/2, so x0 = (p + b)/2
+    for p the last point below b and x1 = (c + q)/2 for q the first point
+    above c.  Since c - 1/2 < m0 < b and b + 1/2 > m1 > c, both shifts are
+    points between, so p >= c - 1/2, q <= b + 1/2 and x1 - x0 <= 1/2: the
+    midpoints of the gaps line up on the cut edge m1 = m0 + 1/2.
+
+    (b) On each block (`solve_general_grid`) the supremum of player 1's
+    value lies on a pair of points of the block's closure.  The block fixes
+    which means are delivered and their actions, so one formula V gives the
+    value on all of it: a constant, or, by (iii) there with player 1's gain
+    g, monotone in each delivered mean while the other stays put.  In the
+    closure m0 runs between the ends a <= b of its place and above
+    m1 - 1/2, and m1 between the ends c <= d of its place and below
+    m0 + 1/2; the ends are marks, 0 or 1.  A mean that is not delivered
+    moves V not at all, so put such an m0 at b and such an m1 at c, which
+    keeps the pair feasible.  Then move a delivered m0 the way V rises: it
+    stops at a, b or m1 - 1/2.  If that is a point t (so always when m1
+    sits at c), move a delivered m1 the same way: it stops at c, d or
+    t + 1/2, all points.  Otherwise both means are delivered and the pair
+    is on the cut edge m1 = m0 + 1/2, where V is 2 (1/2 - m0) g(m0 + 1/2)
+    for actions (0, 1) and 2 m0 g(m0) for (1, 0): either way a quadratic in
+    m0 with its vertex at v.  On the edge's segment, whose ends are among
+    a, b, c - 1/2 and d - 1/2, it peaks at an end or at v, each the m0 of a
+    pair (t, t + 1/2) of points.  No move lowers V.
+
+    (c) Attainment is checked, not proved.  The pair found in (b) may lie
+    on an open face of the block's closure, in a block with another answer,
+    so the block approaches its supremum without attaining it, and the
+    continuum has no best pair there.  A lattice search would then find its
+    best pair in that block one lattice step off an axis point, and the
+    search at 1/L, L the lcm of the points' denominators, would differ from
+    the one at 1/(2L); the acceptance suite checks that they agree with the
+    search on this axis on off-lattice draws.  The step `solve_general_grid`
+    leaves open (seat 2's argmax within an order type) is open here too."""
+    crossings = [a.utility.crossing for a in (*h.senders[1:], h.receiver)]
+    vertex = h.senders[0].utility.crossing / 2
+    candidates = {Fraction(0), HALF, Fraction(1), vertex, vertex + HALF,
+                  *(w + shift for w in crossings for shift in (-HALF, 0, HALF))}
+    points = sorted(m for m in candidates if 0 <= m <= 1)
+    return tuple(sorted((*points, *((a + b) / 2 for a, b in zip(points, points[1:])))))
+
+
+def solve_general_grid(
+    h: HierarchySpec, means: Union[int, Sequence[Fraction]]
+) -> list[tuple[Fraction, Fraction]]:
+    """Exhaustive search over player 1's mean pairs on one axis, each
+    answered by the induced subgame; returns the Blackwell-maximal argmax
+    supports (a degenerate result is reported as (1/2, 1/2)).  ``means`` is
+    an int G, for the lattice k/G (the dense reference; G below 10 is
+    refused), or a sorted axis of means in [0, 1] such as
+    ``breakpoint_means(h)``, on which the answer is the continuum's.
 
     The subgame is answered once per *order type*, not once per pair.  Let
     w range over the crossings of seats 2..n and of the receiver (w_r).  The
@@ -870,33 +939,38 @@ def solve_general_grid(h: HierarchySpec, resolution: int) -> list[tuple[Fraction
     never decides a level: by (iii) of `breakpoint_grid`, each level is read
     off the signs of gains at coordinates and the coordinates' order, which
     (i) and (ii) fix.  The argmax step is checked, not proved:
-    `test_matches_the_per_pair_search` answers every lattice pair with its
-    own stand-in and requires the same supports.
+    `test_matches_the_per_pair_search` answers every pair of a lattice, and
+    of a lattice with uneven means added, with its own stand-in and requires
+    the same supports.
 
-    The pairs of one order type form a *block*.  The place of a lattice mean
-    k/G is its tuple of signs against every crossing and against 1/2, so the
-    order type of (k0/G, k1/G) is their two places.  Runs lemma: the means of
-    one place are a run of consecutive k.  Each sign of k/G - w only moves
-    from -1 to 0 (at k/G = w, if that is a lattice mean) to 1 as k grows, so
-    the place is nondecreasing entrywise, and a k between two means of one
-    place has that place too.  So an order type is a run R0 of k0 (all at or
-    below 1/2, since 1/2 is a mark) times a run R1 of k1 (all at or above
-    1/2), cut by the search's k1 <= k0 + G//2; the block is empty when
-    min R1 > max R0 + G//2.  By the claim, within a block the positions of
-    the two delivered means among (m0, m1, crossings...) and their actions
-    are fixed: a delivered m0 moves with k0 alone, a delivered m1 with k1
-    alone, and a delivered crossing not at all.  So player 1's value and the
-    reported support depend on k0 only if m0 is delivered, and on k1 only if
-    m1 is.  A block that delivers neither (silence included) gives one
-    candidate.  When only m0 is delivered, each feasible k0 (from
-    max(min R0, min R1 - G//2) up) pairs with min R1; when only m1 is, each
-    k1 up to max R0 + G//2 pairs with max R0, the k0 with the widest
-    feasible range.  Only a block that delivers both is visited pair by pair.
+    The pairs of one order type form a *block*.  The place of an axis mean
+    is its tuple of signs against every crossing and against 1/2, so the
+    order type of a pair of axis means is their two places.  Runs lemma: on
+    any sorted axis the means of one place are a run of consecutive indices.
+    Each sign of m - w only moves from -1 to 0 (at m = w, if w is on the
+    axis) to 1 as m grows, so the place is nondecreasing entrywise along the
+    axis, and a mean between two means of one place has that place too.  So
+    an order type is a run R0 of m0 indices (all at or below 1/2, since 1/2
+    is a mark) times a run R1 of m1 indices (all at or above 1/2), cut by
+    m1 <= m0 + 1/2; the block is empty when min R1's mean exceeds max R0's
+    by more than 1/2.  By the claim, within a block the positions of the two
+    delivered means among (m0, m1, crossings...) and their actions are fixed:
+    a delivered m0 moves with its own index alone, a delivered m1 with its
+    own, and a delivered crossing not at all.  So player 1's value and the
+    reported support depend on m0 only if it is delivered, and on m1 only
+    if it is.  A block that delivers neither (silence included) gives one
+    candidate.  When only m0 is delivered, each m0 of R0 from the first that
+    min R1 can reach pairs with min R1; when only m1 is, each m1 of R1 that
+    max R0 reaches pairs with max R0, the m0 with the widest feasible range.
+    Only a block that delivers both is visited pair by pair.  Reach is a
+    `bisect` of the axis at m0 + 1/2 or m1 - 1/2.
 
     Values are exact integers compared by cross-multiplication.  With
-    C = lcm(2, G, the crossings' denominators), every mean m here is held as
-    the int X = C * m, and 1/2 as H = C/2.  Player 1's gain alpha * m + beta
-    is held as gain(X) = (A * alpha) * X + (A * beta) * C = C * A times it,
+    C = lcm(2, the axis's denominators (G for a lattice), the crossings'
+    denominators), every mean m here is held as the int X = C * m, and 1/2
+    as H = C/2; a lattice is the ints ``range(0, C + 1, C // G)``.  Player
+    1's gain alpha * m + beta is held as
+    gain(X) = (A * alpha) * X + (A * beta) * C = C * A times it,
     for A the lcm of alpha's and beta's denominators, and as 0 where the
     receiver acts 0.  A pair delivering X0 < X1 is worth
     ((X1 - H) * gain(X0) + (H - X0) * gain(X1)) / (X1 - X0) over C * A,
@@ -906,16 +980,20 @@ def solve_general_grid(h: HierarchySpec, resolution: int) -> list[tuple[Fraction
     """
     if not isinstance(h.prior, UniformPrior):
         raise ChainError("exhaustive mean search needs the uniform prior")
-    _check_resolution(resolution)
     crossings = tuple(a.utility.crossing for a in (*h.senders[1:], h.receiver))
     # every mean m below is the int scale * m
-    scale = lcm(2, resolution, *(w.denominator for w in crossings))
-    step, half, reach = scale // resolution, scale // 2, resolution // 2
+    if isinstance(means, int):
+        _check_resolution(means)
+        scale = lcm(2, means, *(w.denominator for w in crossings))
+        xs: Sequence[int] = range(0, scale + 1, scale // means)
+    else:
+        scale = lcm(2, *(m.denominator for m in (*crossings, *means)))
+        xs = [m.numerator * (scale // m.denominator) for m in means]
+    half = scale // 2
     walls = [w.numerator * (scale // w.denominator) for w in crossings]
-    places = [tuple((x > w) - (x < w) for w in (*walls, half))
-              for x in range(0, scale + 1, step)]
-    cuts = [k for k in range(1, resolution + 1) if places[k] != places[k - 1]]
-    runs = list(zip([0, *cuts], [k - 1 for k in cuts] + [resolution]))
+    places = [tuple((x > w) - (x < w) for w in (*walls, half)) for x in xs]
+    cuts = [k for k in range(1, len(xs)) if places[k] != places[k - 1]]
+    runs = list(zip([0, *cuts], [k - 1 for k in cuts] + [len(xs) - 1]))
     alpha, beta = h.senders[0].utility.alpha, h.senders[0].utility.beta
     unit = lcm(alpha.denominator, beta.denominator)
     slope = alpha.numerator * (unit // alpha.denominator)
@@ -927,15 +1005,15 @@ def solve_general_grid(h: HierarchySpec, resolution: int) -> list[tuple[Fraction
     def candidates() -> Iterator[tuple[int, int, tuple[int, int]]]:
         """(num, den, support) of player 1's candidates, block by block."""
         for lo0, hi0 in runs:
-            if lo0 > reach:
+            if xs[lo0] > half:
                 break
             for lo1, hi1 in runs:
-                if lo1 > hi0 + reach:
+                if xs[lo1] > xs[hi0] + half:
                     break
-                if hi1 < resolution - reach:
+                if xs[hi1] < half:
                     continue
-                first = max(lo0, lo1 - reach)
-                m0, m1 = Fraction(first, resolution), Fraction(lo1, resolution)
+                first = max(lo0, bisect_left(xs, xs[lo1] - half))
+                m0, m1 = Fraction(xs[first], scale), Fraction(xs[lo1], scale)
                 cells = _respond_to_means(h, m0, m1)
                 delivered = _delivered(cells, (m0, m1, *crossings))
                 if delivered is None:
@@ -944,9 +1022,10 @@ def solve_general_grid(h: HierarchySpec, resolution: int) -> list[tuple[Fraction
                 i0, i1 = delivered
                 a0, a1 = cells[0][2], cells[1][2]
                 for k0 in range(first, hi0 + 1) if 0 in delivered else (hi0,):
-                    for k1 in range(lo1, min(hi1, k0 + reach) + 1) if 1 in delivered else (lo1,):
-                        xs = (k0 * step, k1 * step, *walls)
-                        x0, x1 = xs[i0], xs[i1]
+                    top = min(hi1, bisect_right(xs, xs[k0] + half) - 1) if 1 in delivered else lo1
+                    for k1 in range(lo1, top + 1):
+                        at = (xs[k0], xs[k1], *walls)
+                        x0, x1 = at[i0], at[i1]
                         num = (x1 - half) * gain(x0, a0) + (half - x0) * gain(x1, a1)
                         yield num, x1 - x0, (x0, x1)
 

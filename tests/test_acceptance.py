@@ -11,6 +11,7 @@ import random
 import sys
 import time
 from fractions import Fraction as F
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,7 @@ from infochain.general_solver import (
 from infochain.oracle import (
     IntervalCut,
     breakpoint_grid,
+    breakpoint_means,
     build_grid,
     ic_chain,
     identity_experiment,
@@ -241,6 +243,50 @@ def test_criterion_3_uniform_closed_form_matches_oracle(uniform_suite, announce)
     assert elapsed < 600.0
     announce(f"criterion 3: PASS - 200/200 supports within 1/200 of the G=200 "
           f"pair search, kinds consistent ({elapsed:.1f}s)")
+
+
+# ---------------------------------------------------------------------------
+# criterion 10, beside criterion 3: the uniform pair search on the game's
+# breakpoint means needs no lattice
+# ---------------------------------------------------------------------------
+
+def test_criterion_10_uniform_pair_search_needs_no_lattice(announce):
+    start = time.perf_counter()
+    # the 286 seed-3003 draws behind the uniform suite, covered or not: the
+    # G=200 lattice holds every point of their axes, so both searches agree
+    rng = random.Random(3003)
+    for _ in range(286):
+        h = _random_uniform_game(rng)
+        assert solve_general_grid(h, breakpoint_means(h)) == solve_general_grid(h, 200), h
+
+    # off the lattice: the search at 1/L, L the lcm of the points'
+    # denominators, and at 1/(2L) must give the breakpoint search's answer
+    # (a supremum approached only on an open face would split them), and
+    # every covered closed-form support must be in it exactly
+    rng = random.Random(4711)
+    covered = off_lattice = 0
+    for _ in range(300):
+        h = _cross_check.random_off_lattice_uniform_game(rng)
+        means = breakpoint_means(h)
+        pairs = solve_general_grid(h, means)
+        resolution = lcm(*(m.denominator for m in means[::2]))
+        while resolution < 10:
+            resolution *= 2
+        assert pairs == solve_general_grid(h, resolution), (h, resolution)
+        assert pairs == solve_general_grid(h, 2 * resolution), (h, resolution)
+        off_lattice += any((m * 100).denominator != 1 for pair in pairs for m in pair)
+        try:
+            report = solve_general_uniform(h)
+        except NotCovered:
+            continue
+        covered += 1
+        target = (F(1, 2), F(1, 2)) if len(report.support) == 1 else report.support
+        assert target in pairs, (h, report.support, pairs)
+    assert off_lattice > 0  # the draws do leave the 1/100 lattice
+    elapsed = time.perf_counter() - start
+    announce(f"criterion 10: PASS - 286/286 breakpoint searches equal to G=200; 300/300 "
+             f"off-lattice ones equal to 1/L and 1/(2L) ({off_lattice} off 1/100), "
+             f"{covered}/{covered} covered closed forms in them ({elapsed:.1f}s)")
 
 
 # ---------------------------------------------------------------------------

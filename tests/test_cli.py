@@ -21,7 +21,6 @@ from infochain import (
     sender_classes,
 )
 from infochain.cli import (
-    MAX_GRID,
     MAX_TRIALS,
     ParseError,
     RunConfig,
@@ -31,7 +30,7 @@ from infochain.cli import (
     ingest,
     main,
 )
-from infochain.oracle import ResolutionTooCoarse, SeedRequired
+from infochain.oracle import SeedRequired
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -156,17 +155,22 @@ class TestRunConfig:
             RunConfig(ORDERING, "simulate").validate()
 
     def test_grid_floor_for_oracle_commands(self):
+        # oracle and compare run on the game's breakpoints and read no grid,
+        # so only curve, which does, bounds it from below
         for command in ("oracle", "compare"):
-            with pytest.raises(ResolutionTooCoarse):
-                RunConfig(ORDERING, command, grid=9).validate()
-            RunConfig(ORDERING, command, grid=10).validate()
+            for grid in (0, 3, 9):
+                RunConfig(ORDERING, command, grid=grid).validate()
+                RunConfig(INTERIOR, command, grid=grid).validate()
+        with pytest.raises(ValidationError, match="must be positive"):
+            RunConfig(INTERIOR, "curve", grid=0).validate()
+        RunConfig(INTERIOR, "curve", grid=1).validate()
 
     def test_grid_ceiling_for_oracle_commands(self):
+        # validate() only: no grid ceiling outside curve
         for command in ("oracle", "compare"):
-            with pytest.raises(ValidationError, match="at most 1000 steps"):
-                RunConfig(ORDERING, command, grid=MAX_GRID + 1).validate()
-            RunConfig(ORDERING, command, grid=MAX_GRID).validate()
-        RunConfig(INTERIOR, "curve", grid=2 * MAX_GRID).validate()
+            RunConfig(ORDERING, command, grid=5000).validate()
+            RunConfig(INTERIOR, command, grid=10**9).validate()
+        RunConfig(INTERIOR, "curve", grid=2000).validate()
 
     def test_grid_ceiling_for_curve(self):
         # validate() only, so nothing ever runs at the extreme value
@@ -276,6 +280,42 @@ class TestCommands:
         assert out["matched"] is False
         assert out["closed_form"]["support"] == ["0", "1"]
         assert out["oracle"] == [["1/4", "1"]]
+
+    def test_compare_matches_a_uniform_support_off_every_lattice(self, capsys, tmp_path):
+        # crossings in eighths put the optimum at (3/8, 7/8), which no 1/20 or
+        # 1/100 lattice holds; the pair search runs on the game's breakpoint
+        # means, so --grid steers nothing and both routes agree exactly
+        def linear(beta):
+            return {"model": "linear", "params": {"alpha": "1", "beta": beta}}
+
+        path = tmp_path / "eighths.json"
+        path.write_text(json.dumps({
+            "prior": {"kind": "uniform"},
+            "senders": [linear("-7/8"), linear("-3/8")],
+            "receiver": linear("-5/8"),
+        }))
+        reports = []
+        for flags in ((), ("--grid", 20), ("--grid", 100)):
+            code, out = run_json(capsys, "compare", "--config", path, *flags)
+            assert code == 0
+            assert out["matched"] is True
+            assert out["closed_form"]["support"] == ["3/8", "7/8"]
+            assert out["oracle"] == [["3/8", "7/8"]]
+            assert "7/8" in out["means"] and "grid" not in out and "tolerance" not in out
+            reports.append(out)
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_uniform_compare_exits_two_on_a_wrong_closed_form(self, capsys, monkeypatch):
+        from infochain import cli
+
+        solve = cli.solve_general_uniform
+        monkeypatch.setattr(cli, "solve_general_uniform",
+                            lambda h: replace(solve(h), support=(F(1, 5), F(7, 10))))
+        code, out = run_json(capsys, "compare", "--config", INTERIOR)
+        assert code == 2
+        assert out["matched"] is False
+        assert out["closed_form"]["support"] == ["1/5", "7/10"]
+        assert out["oracle"] == [["4/25", "33/50"]]
 
     @pytest.mark.parametrize("grid", [20, 100])
     def test_compare_agrees_on_an_extremist_receiver(self, capsys, tmp_path, grid):
@@ -420,7 +460,7 @@ class TestExitCodes:
         bad.write_text("{")
         assert main(["solve", "--config", str(bad)]) == 1
         assert main(["simulate", "--config", str(PARTIAL)]) == 1
-        assert main(["oracle", "--config", str(PARTIAL), "--grid", "3"]) == 1
+        assert main(["curve", "--config", str(INTERIOR), "--grid", "0"]) == 1
         assert main(["vp", "--config", str(ORDERING), "--delta", "7"]) == 1
         assert main(["vp", "--config", str(ORDERING), "--delta", "abc"]) == 1
         assert main(["vp", "--config", str(ORDERING), "--delta", "1e-5000"]) == 1

@@ -769,12 +769,15 @@ class TestUniformGrid:
             solve_general_grid(h, 4)
 
     @staticmethod
-    def per_pair_search(h, resolution):
-        """The search by its definition: every lattice pair m0 <= 1/2 <= m1
-        with m1 - m0 <= 1/2 answered by its own subgame, then the argmax
-        supports that lie inside no other."""
+    def lattice(resolution):
+        return [F(k, resolution) for k in range(resolution + 1)]
+
+    @staticmethod
+    def per_pair_search(h, means):
+        """The search by its definition: every pair of the axis ``means`` with
+        m0 <= 1/2 <= m1 and m1 - m0 <= 1/2 answered by its own subgame, then
+        the argmax supports that lie inside no other."""
         half = F(1, 2)
-        means = [F(k, resolution) for k in range(resolution + 1)]
         values = {}
         for m0 in means:
             for m1 in means:
@@ -792,8 +795,12 @@ class TestUniformGrid:
     def test_matches_the_per_pair_search(self, data):
         # crossings in thirds and sevenths fall between lattice means, those
         # in G-ths or 2G-ths on or halfway between them; some fall outside
-        # [0, 1] (extremists), and some repeat (a relaxed chain)
+        # [0, 1] (extremists), and some repeat (a relaxed chain).  The lattice
+        # plus up to 5 uneven means makes an axis whose reach m0 + 1/2 is not
+        # a fixed number of steps
         resolution = data.draw(st.integers(10, 27), label="G")
+        extra = data.draw(st.lists(st.fractions(0, 1, max_denominator=60), max_size=5),
+                          label="off-lattice means")
         dens = st.sampled_from([3, 6, 7, 14, 21, resolution, 2 * resolution])
 
         def crossing(label):
@@ -809,7 +816,10 @@ class TestUniformGrid:
                    for k in range(data.draw(st.integers(1, 4), label="n"))]
         receiver = agent("receiver", data.draw(st.sampled_from([1, -1])))
         h = hierarchy(senders, receiver, UNIFORM, strict=False)
-        assert solve_general_grid(h, resolution) == self.per_pair_search(h, resolution)
+        means = self.lattice(resolution)
+        assert solve_general_grid(h, resolution) == self.per_pair_search(h, means)
+        means = sorted({*means, *extra})
+        assert solve_general_grid(h, means) == self.per_pair_search(h, means)
 
     def test_order_type_fixes_the_answer_off_the_lattice(self):
         # the search asks one pair per order type and carries its answer to
@@ -855,15 +865,31 @@ class TestUniformGrid:
                 first.setdefault(order_type, answer)
         assert compared > 1000
 
+    def test_breakpoint_means_hold_an_optimum_off_every_small_lattice(self):
+        # seat 2's crossing 3/8 and the receiver's 5/8 bring 7/8 and 1/8 (the
+        # shifts inside [0, 1]), player 1's crossing 7/8 brings v = 7/16 and
+        # 15/16; the optimum (3/8, 7/8) ties with silence at 0 and is more
+        # informative.  The 1/100 lattice misses 7/8 and finds silence only
+        h = hierarchy([linear_utility(1, F(-7, 8)), linear_utility(1, F(-3, 8))],
+                      linear_utility(1, F(-5, 8)), UNIFORM)
+        means = oracle.breakpoint_means(h)
+        points = [F(0), F(1, 8), F(3, 8), F(7, 16), F(1, 2), F(5, 8), F(7, 8), F(15, 16), F(1)]
+        assert list(means[::2]) == points
+        assert list(means[1::2]) == [(a + b) / 2 for a, b in zip(points, points[1:])]
+        assert solve_general_grid(h, means) == self.per_pair_search(h, means) == [(F(3, 8), F(7, 8))]
+        assert solve_general_grid(h, 100) == [(F(1, 2), F(1, 2))]
+
     @pytest.mark.parametrize("name", GAMES)
     def test_fixed_games_match_the_per_pair_search_at_200(self, name):
         h = self.GAMES[name]
-        assert solve_general_grid(h, 200) == self.per_pair_search(h, 200)
+        assert solve_general_grid(h, 200) == self.per_pair_search(h, self.lattice(200))
 
-    @pytest.mark.parametrize("resolution", [20, 37, 200])
+    @pytest.mark.parametrize("resolution", [20, 37, 200, None])
     @pytest.mark.parametrize("name", GAMES)
     def test_each_order_type_is_asked_once(self, monkeypatch, name, resolution):
         # the subgame is asked exactly once per order type of a feasible pair
+        # of the axis; on the breakpoint means (None) those are every order
+        # type of a feasible pair in [0, 1], here sampled at 1/120
         h = self.GAMES[name]
         half = F(1, 2)
         marks = (*(a.utility.crossing for a in (*h.senders[1:], h.receiver)), half)
@@ -877,12 +903,16 @@ class TestUniformGrid:
             asked.append(order_type(m0, m1))
             return respond(h, m0, m1)
 
+        def every(means):
+            return {order_type(m0, m1) for m0 in means for m1 in means
+                    if m0 <= half <= m1 and m1 - m0 <= half}
+
         monkeypatch.setattr(oracle, "_respond_to_means", spy)
-        solve_general_grid(h, resolution)
-        means = [F(k, resolution) for k in range(resolution + 1)]
-        every = {order_type(m0, m1) for m0 in means for m1 in means
-                 if m0 <= half <= m1 and m1 - m0 <= half}
-        assert sorted(asked) == sorted(every)
+        means = oracle.breakpoint_means(h) if resolution is None else self.lattice(resolution)
+        solve_general_grid(h, resolution or means)
+        assert sorted(asked) == sorted(every(means))
+        if resolution is None:
+            assert every(self.lattice(120)) <= set(asked)
 
     @pytest.mark.parametrize("resolution, low", [(12, F(1, 6)), (40, F(1, 10))])
     def test_value_ties_across_whole_blocks(self, resolution, low):
@@ -895,7 +925,7 @@ class TestUniformGrid:
         h = hierarchy([linear_utility(-1, F(3, 5)), linear_utility(1, F(-7, 6))],
                       linear_utility(-1, F(3, 5)), UNIFORM, strict=False)
         got = solve_general_grid(h, resolution)
-        assert got == self.per_pair_search(h, resolution)
+        assert got == self.per_pair_search(h, self.lattice(resolution))
         assert got == [(low, F(3, 5))]
 
     @pytest.mark.parametrize("resolution", [50, 51])
@@ -908,7 +938,8 @@ class TestUniformGrid:
             linear_utility(1, F(-3, 10) - 2 * tiny), UNIFORM,
         )
         assert all(a.utility.crossing.denominator > 10**12 for a in (*h.senders, h.receiver))
-        assert solve_general_grid(h, resolution) == self.per_pair_search(h, resolution)
+        assert solve_general_grid(h, resolution) == self.per_pair_search(
+            h, self.lattice(resolution))
 
     def test_off_breakpoint_answer_is_refused(self, monkeypatch):
         # every delivered mean must be m0, m1 or a crossing; an answer off

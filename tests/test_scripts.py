@@ -16,8 +16,7 @@ def test_cross_check_agrees(capsys):
 
 def test_cross_check_digest_repeats(capsys):
     cross_check = _load_script("cross_check")
-    argv = ["--digest", "--mode", "both", "--games", "3", "--seed", "7",
-            "--uniform-grid", "40"]
+    argv = ["--digest", "--mode", "both", "--games", "3", "--seed", "7"]
     runs = []
     for _ in range(2):
         assert cross_check.main(argv) == 0
