@@ -12,10 +12,12 @@ equilibrium), ``oracle`` (brute-force equilibria on the game's breakpoints:
 beliefs for a binary game, with pass-through level sizes, and means for a
 uniform one), ``compare`` (closed form against the oracle, matched exactly;
 exits 2 on disagreement), ``vp`` (appointment advice), ``simulate`` (seeded
-Monte Carlo against analytic values), ``curve`` (first mover's value over the
-cut grid, as CSV; the only command that reads ``--grid``).  Every report is a
-JSON document whose ``hierarchy`` field re-parses under the input schema;
-``--out`` additionally writes the report (and any CSV) into a directory.
+Monte Carlo against analytic values), ``curve`` (first mover's value and the
+subgame's kind along the cut edge, one row per breakpoint mean, as CSV).
+Every report is a JSON document whose ``hierarchy`` field re-parses under the
+input schema; ``--out`` additionally writes the report (and any CSV) into a
+directory.  Exit codes: 0 ok, 1 bad input or usage, 2 a ``compare``
+mismatch, 3 an internal fault.
 """
 from __future__ import annotations
 
@@ -102,10 +104,6 @@ COMMANDS = ("classify", "solve", "oracle", "compare", "vp", "simulate", "curve")
 #: per trial (54 MB at this ceiling)
 MAX_TRIALS = 1_000_000
 
-#: finest --grid ``curve`` accepts: it keeps one report row per cut, so its
-#: time and memory grow linearly with G
-_MAX_CURVE_GRID = 100_000
-
 #: longest number text and largest decimal exponent a config field or flag may
 #: carry: ``Fraction("1e-10000000")`` alone takes seconds and builds a
 #: ten-million-digit integer, and exact arithmetic on it only grows
@@ -117,7 +115,6 @@ _MAX_EXPONENT = 100
 class RunConfig:
     hierarchy_path: Path
     command: str
-    grid: int = 100
     trials: int = 10_000
     seed: Optional[int] = None
     out_dir: Optional[Path] = None
@@ -129,13 +126,6 @@ class RunConfig:
             raise ValidationError(f"unknown command {self.command!r}")
         if self.fmt not in ("text", "csv"):
             raise ValidationError(f"format must be 'text' or 'csv', got {self.fmt!r}")
-        if self.command == "curve":
-            if self.grid < 1:
-                raise ValidationError(f"grid resolution must be positive, got {self.grid}")
-            if self.grid > _MAX_CURVE_GRID:
-                raise ValidationError(
-                    f"curve takes a grid of at most {_MAX_CURVE_GRID} steps, got {self.grid}"
-                )
         if self.command == "simulate":
             if self.seed is None:
                 raise SeedRequired("simulate needs --seed; runs must be reproducible")
@@ -508,14 +498,30 @@ def _cmd_simulate(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
 
 
 def _cmd_curve(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
+    """Player 1's value and the subgame's kind on the cut edge
+    m1 = m0 + 1/2, in the canonical frame, one row per mean m0 <= 1/2 of
+    ``breakpoint_means``: every point, and one midpoint per gap between two.
+
+    The rows are exact.  On the edge, `solve_subgame_given_support` reads m0
+    only through the sign of m0 - w and of m0 + 1/2 - w for each crossing w
+    of seats 2..n and the receiver (`reclassify_under_support` and the
+    guard; the guard's tie test reads the last sender's gain at w_r, a
+    number of the game), the order of the stand-in thresholds 2 (w - m0),
+    which is the order of the w's, and whether d0 < 1/2 < d1, where d1 is
+    m0 + 1/2 and d0 is m0 or a crossing.  All of these change only where m0
+    or m0 + 1/2 meets a crossing, 0 or 1/2, which are points of the axis, so
+    a midpoint row's kind holds on its whole open gap.  `player1_value` is
+    (1 - 2 m0) g(m0 + 1/2) for player 1's gain g = alpha m + beta, a
+    quadratic in m0 with its vertex at v, half her crossing.  Its maximum
+    over [0, 1/2] lies at v (when alpha > 0 and v is in range), at 0 or at
+    1/2, all three points, so the rows' argmax is the edge's."""
     if h.is_binary:
         raise ValidationError("curve needs a uniform-state hierarchy")
     canon, rel = canonicalize_receiver(h)
     u1 = canon.senders[0].utility
     rows = []
     best: Optional[tuple[Fraction, Fraction]] = None
-    for k in range(cfg.grid // 2 + 1):
-        m0 = Fraction(k, cfg.grid)
+    for m0 in (m for m in breakpoint_means(canon) if m <= HALF):
         m1 = m0 + HALF
         value = player1_value(m0, u1)
         delivered = solve_subgame_given_support(canon, m0, m1)
@@ -530,7 +536,6 @@ def _cmd_curve(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
         if best is None or value > best[0]:
             best = (value, m0)
     report = {
-        "grid": cfg.grid,
         "frame": _relabeling_doc(rel),
         "argmax_m0": str(best[1]),
         "argmax_value": str(best[0]),
@@ -641,8 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS, help="what to run")
     parser.add_argument("--config", required=True, metavar="PATH",
                         help="hierarchy file (JSON)")
-    parser.add_argument("--grid", type=int, default=100, metavar="G",
-                        help="cut grid for curve; no other command reads it (default 100)")
     parser.add_argument("--trials", type=int, default=10_000, metavar="N",
                         help="Monte Carlo trials for simulate (default 10000)")
     parser.add_argument("--seed", type=int, default=None, metavar="S",
@@ -658,7 +661,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse has printed --help (code 0) or a usage error (code 2, which
+        # is compare's mismatch here): a usage error is bad input, exit 1
+        return 1 if e.code else 0
     try:
         delta = _parse_number(args.delta)
     except (ValueError, ZeroDivisionError) as e:
@@ -668,7 +676,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     config = RunConfig(
         hierarchy_path=Path(args.config),
         command=args.command,
-        grid=args.grid,
         trials=args.trials,
         seed=args.seed,
         out_dir=Path(args.out) if args.out else None,

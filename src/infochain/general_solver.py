@@ -135,6 +135,9 @@ def solve_subgame_given_support(
     0-extremists it outranks sit earlier in the chain, and None when play
     collapses to no information.  The receiver must be a conformist biased
     toward action 1 in the original labels (canonicalize first if not).
+    At m0 = w_r, the receiver's indifference mean, she acts on the low cell
+    exactly when the last sender gains from action 1 there (the oracle's
+    tie rule), and then acts on both cells: no information.
     """
     _require_uniform_linear(h)
     m0, m1 = as_ratio(m0), as_ratio(m1)
@@ -149,7 +152,7 @@ def solve_subgame_given_support(
             "canonicalize the hierarchy first"
         )
     w_r = r_cls.threshold
-    if not m0 < w_r < m1:
+    if not m0 <= w_r < m1 or (m0 == w_r and h.senders[-1].utility.gain_of_action1(w_r) > 0):
         return None  # the receiver cannot split on this range
     classes = [
         reclassify_under_support(classify_linear(s.utility), m0, m1)

@@ -10,6 +10,7 @@ import importlib.util
 import random
 import sys
 import time
+from bisect import bisect_left
 from fractions import Fraction as F
 from math import lcm
 from pathlib import Path
@@ -42,11 +43,13 @@ from infochain.advisor import (
     optimal_vp_general,
 )
 from infochain.binary_solver import EquilibriumKind, NoInfoCause
+from infochain.cli import RunConfig, _cmd_curve
 from infochain.general_solver import (
     GeneralKind,
     NotCovered,
     player1_value,
     solve_general_uniform,
+    solve_subgame_given_support,
 )
 from infochain.oracle import (
     IntervalCut,
@@ -315,6 +318,62 @@ def test_criterion_4_value_curve_against_quadrature(announce):
         assert abs(grid[argmax] - crossing / 2) <= F(1, 2 * points)
     announce(f"criterion 4: PASS - quadrature gap <= {worst:.2e} at 1000 points "
           f"per curve, argmax within one step of half the crossing")
+
+
+# ---------------------------------------------------------------------------
+# criterion 11, beside criterion 4: `infochain curve` on the breakpoint means
+# is exact on the whole cut edge
+# ---------------------------------------------------------------------------
+
+def test_criterion_11_curve_rows_stand_for_their_gaps(announce):
+    start = time.perf_counter()
+    half = F(1, 2)
+
+    def kind(h, m0):
+        delivered = solve_subgame_given_support(h, m0, m0 + half)
+        if delivered is None:
+            return "blocked"
+        return "pass" if delivered.support() == (m0, m0 + half) else "garbled"
+
+    def draws():
+        rng = random.Random(3003)
+        for _ in range(286):
+            yield _random_uniform_game(rng)
+        rng = random.Random(4711)
+        for _ in range(300):
+            yield _cross_check.random_off_lattice_uniform_game(rng)
+
+    config = RunConfig(Path(), "curve")
+    games = probes = 0
+    for h in draws():
+        _, doc, _ = _cmd_curve(h, config)
+        canon, _ = canonicalize_receiver(h)
+        rows = {F(row["m0"]): row["subgame_kind"] for row in doc["rows"]}
+        axis = [m for m in breakpoint_means(canon) if m <= half]
+        assert list(rows) == axis, h
+        # every m0 of the 1/(2L) lattice, L the lcm of the points'
+        # denominators, has the kind of its point or of its gap's midpoint
+        points = axis[::2]
+        resolution = 2 * lcm(*(m.denominator for m in points))
+        for m0 in (F(k, resolution) for k in range(resolution // 2 + 1)):
+            i = bisect_left(points, m0)
+            if points[i] != m0:
+                probes += 1
+                assert kind(canon, m0) == rows[(points[i - 1] + points[i]) / 2], (h, m0)
+        # player 1's value is a quadratic with its vertex at v: concave when
+        # alpha > 0, so it peaks at v clamped to [0, 1/2], else at an end
+        u1 = canon.senders[0].utility
+        if u1.alpha > 0:
+            best = min(max(u1.crossing / 2, F(0)), half)
+        else:
+            best = F(0) if player1_value(0, u1) >= player1_value(half, u1) else half
+        assert (doc["argmax_m0"], doc["argmax_value"]) == (
+            str(best), str(player1_value(best, u1))), h
+        games += 1
+    elapsed = time.perf_counter() - start
+    announce(f"criterion 11: PASS - {games}/{games} curves: {probes} off-axis lattice means "
+             f"of the kind of their gap's row, argmax where the quadratic peaks "
+             f"({elapsed:.1f}s)")
 
 
 # ---------------------------------------------------------------------------

@@ -154,30 +154,6 @@ class TestRunConfig:
         with pytest.raises(SeedRequired):
             RunConfig(ORDERING, "simulate").validate()
 
-    def test_grid_floor_for_oracle_commands(self):
-        # oracle and compare run on the game's breakpoints and read no grid,
-        # so only curve, which does, bounds it from below
-        for command in ("oracle", "compare"):
-            for grid in (0, 3, 9):
-                RunConfig(ORDERING, command, grid=grid).validate()
-                RunConfig(INTERIOR, command, grid=grid).validate()
-        with pytest.raises(ValidationError, match="must be positive"):
-            RunConfig(INTERIOR, "curve", grid=0).validate()
-        RunConfig(INTERIOR, "curve", grid=1).validate()
-
-    def test_grid_ceiling_for_oracle_commands(self):
-        # validate() only: no grid ceiling outside curve
-        for command in ("oracle", "compare"):
-            RunConfig(ORDERING, command, grid=5000).validate()
-            RunConfig(INTERIOR, command, grid=10**9).validate()
-        RunConfig(INTERIOR, "curve", grid=2000).validate()
-
-    def test_grid_ceiling_for_curve(self):
-        # validate() only, so nothing ever runs at the extreme value
-        with pytest.raises(ValidationError, match="at most 100000 steps"):
-            RunConfig(INTERIOR, "curve", grid=100_001).validate()
-        RunConfig(INTERIOR, "curve", grid=100_000).validate()
-
     def test_delta_domain(self):
         with pytest.raises(ValidationError):
             RunConfig(ORDERING, "vp", delta=F(3, 2)).validate()
@@ -230,26 +206,26 @@ class TestCommands:
         assert doc["efficient"] is True
 
     def test_oracle_binary(self, capsys):
-        code, doc = run_json(capsys, "oracle", "--config", ORDERING, "--grid", 20)
+        code, doc = run_json(capsys, "oracle", "--config", ORDERING)
         assert code == 0
         assert doc["spe"] == [["3/5"]]
         assert set(doc["pass_levels"]) == {"2", "3"}
         assert doc["garble_proof_size"] <= int(doc["pass_levels"]["2"])
 
     def test_oracle_uniform(self, capsys):
-        code, doc = run_json(capsys, "oracle", "--config", INTERIOR, "--grid", 100)
+        code, doc = run_json(capsys, "oracle", "--config", INTERIOR)
         assert code == 0
         assert ["4/25", "33/50"] in doc["spe"]
 
     @pytest.mark.parametrize("fixture", [PARTIAL, INTERIOR, SILENT])
     def test_compare_agrees_on_fixtures(self, capsys, fixture):
-        code, doc = run_json(capsys, "compare", "--config", fixture, "--grid", 100)
+        code, doc = run_json(capsys, "compare", "--config", fixture)
         assert code == 0
         assert doc["matched"] is True
 
     def test_compare_matches_an_off_lattice_support(self, capsys, tmp_path):
         # 23/100 is off the 1/20 lattice, but the binary oracle runs on the
-        # game's breakpoints, so --grid steers nothing and both routes agree
+        # game's breakpoints, so both routes agree exactly
         doc = json.loads(PARTIAL.read_text())
         u = conformist_table(F(23, 100))
         doc["senders"][1]["params"] = {
@@ -257,16 +233,12 @@ class TestCommands:
         }
         path = tmp_path / "offgrid.json"
         path.write_text(json.dumps(doc))
-        reports = []
-        for grid in (20, 100):
-            code, out = run_json(capsys, "compare", "--config", path, "--grid", grid)
-            assert code == 0
-            assert out["matched"] is True
-            assert out["closed_form"]["support"] == ["23/100", "1"]
-            assert ["23/100", "1"] in out["oracle"]
-            assert "23/100" in out["axes"]["q0s"] and "grid" not in out
-            reports.append(out)
-        assert reports[0] == reports[1]
+        code, out = run_json(capsys, "compare", "--config", path)
+        assert code == 0
+        assert out["matched"] is True
+        assert out["closed_form"]["support"] == ["23/100", "1"]
+        assert ["23/100", "1"] in out["oracle"]
+        assert "23/100" in out["axes"]["q0s"] and "grid" not in out
 
     def test_compare_exits_two_on_a_wrong_closed_form(self, capsys, monkeypatch):
         # the breakpoint oracle has no resolution to miss a support with, so a
@@ -284,7 +256,7 @@ class TestCommands:
     def test_compare_matches_a_uniform_support_off_every_lattice(self, capsys, tmp_path):
         # crossings in eighths put the optimum at (3/8, 7/8), which no 1/20 or
         # 1/100 lattice holds; the pair search runs on the game's breakpoint
-        # means, so --grid steers nothing and both routes agree exactly
+        # means, so both routes agree exactly
         def linear(beta):
             return {"model": "linear", "params": {"alpha": "1", "beta": beta}}
 
@@ -294,16 +266,12 @@ class TestCommands:
             "senders": [linear("-7/8"), linear("-3/8")],
             "receiver": linear("-5/8"),
         }))
-        reports = []
-        for flags in ((), ("--grid", 20), ("--grid", 100)):
-            code, out = run_json(capsys, "compare", "--config", path, *flags)
-            assert code == 0
-            assert out["matched"] is True
-            assert out["closed_form"]["support"] == ["3/8", "7/8"]
-            assert out["oracle"] == [["3/8", "7/8"]]
-            assert "7/8" in out["means"] and "grid" not in out and "tolerance" not in out
-            reports.append(out)
-        assert reports[0] == reports[1] == reports[2]
+        code, out = run_json(capsys, "compare", "--config", path)
+        assert code == 0
+        assert out["matched"] is True
+        assert out["closed_form"]["support"] == ["3/8", "7/8"]
+        assert out["oracle"] == [["3/8", "7/8"]]
+        assert "7/8" in out["means"] and "grid" not in out and "tolerance" not in out
 
     def test_uniform_compare_exits_two_on_a_wrong_closed_form(self, capsys, monkeypatch):
         from infochain import cli
@@ -317,11 +285,13 @@ class TestCommands:
         assert out["closed_form"]["support"] == ["1/5", "7/10"]
         assert out["oracle"] == [["4/25", "33/50"]]
 
-    @pytest.mark.parametrize("grid", [20, 100])
-    def test_compare_agrees_on_an_extremist_receiver(self, capsys, tmp_path, grid):
-        # a receiver who never reacts leaves every outcome silent
+    @pytest.mark.parametrize("resolution", [20, 100])
+    def test_compare_agrees_on_an_extremist_receiver(self, capsys, tmp_path, resolution):
+        # a receiver who never reacts leaves every outcome silent, at a prior
+        # a third of a step off the 1/resolution lattice as well
+        prior = F(3, 5) + F(1, 3 * resolution)
         doc = {
-            "prior": {"kind": "binary", "p": "3/5"},
+            "prior": {"kind": "binary", "p": str(prior)},
             "senders": [{"model": "table", "params": {
                 "u00": "0", "u10": "-1", "u01": "-3/5", "u11": "2/5"}}],
             "receiver": {"model": "table", "params": {
@@ -329,11 +299,12 @@ class TestCommands:
         }
         path = tmp_path / "extremist.json"
         path.write_text(json.dumps(doc))
-        code, out = run_json(capsys, "compare", "--config", path, "--grid", grid)
+        code, out = run_json(capsys, "compare", "--config", path)
         assert code == 0
         assert out["closed_form"]["kind"] == "no-info"
         assert out["closed_form"]["cause"] == "opposed"
-        assert out["oracle"] == [["3/5"]]
+        assert out["matched"] is True
+        assert out["oracle"] == [[str(prior)]]
 
     def test_vp_binary(self, capsys):
         code, doc = run_json(capsys, "vp", "--config", ORDERING)
@@ -413,13 +384,24 @@ class TestCommands:
         assert code == 0
         assert doc["argmax_m0"] == "4/25"
         assert doc["argmax_value"] == "289/1250"
-        assert len(doc["rows"]) == 51
+        assert len(doc["rows"]) == 11
+        assert "grid" not in doc
         by_m0 = {row["m0"]: row for row in doc["rows"]}
         assert by_m0["4/25"]["subgame_kind"] == "pass"
         assert by_m0["0"]["subgame_kind"] == "blocked"
         lines = (out_dir / "curve.csv").read_text().splitlines()
         assert lines[0] == "m0,m1,player1_value,subgame_kind"
         assert "0.16,0.66,0.2312,pass" in lines
+
+    def test_curve_passes_a_split_at_the_receivers_indifference_mean(self, capsys):
+        # the receiver's crossing is 3/10; at m0 = 3/10 the last sender
+        # loses from action 1, so the tie goes to action 0, the receiver
+        # still splits, and the oracle delivers (3/10, 4/5) as well
+        code, doc = run_json(capsys, "curve", "--config", SILENT)
+        assert code == 0
+        by_m0 = {row["m0"]: row for row in doc["rows"]}
+        assert by_m0["3/10"]["m1"] == "4/5"
+        assert by_m0["3/10"]["subgame_kind"] == "pass"
 
     def test_curve_rejects_binary_chains(self, capsys):
         assert main(["curve", "--config", str(ORDERING)]) == 1
@@ -441,8 +423,8 @@ class TestCommands:
     @pytest.mark.parametrize("args", [
         ("classify", "--config", ORDERING),
         ("solve", "--config", INTERIOR),
-        ("oracle", "--config", ORDERING, "--grid", 20),
-        ("compare", "--config", PARTIAL, "--grid", 100),
+        ("oracle", "--config", ORDERING),
+        ("compare", "--config", PARTIAL),
         ("vp", "--config", SILENT),
         ("simulate", "--config", INTERIOR, "--seed", 3, "--trials", 1000),
         ("curve", "--config", INTERIOR),
@@ -461,12 +443,17 @@ class TestExitCodes:
         assert main(["solve", "--config", str(bad)]) == 1
         assert main(["simulate", "--config", str(PARTIAL)]) == 1
         assert main(["curve", "--config", str(INTERIOR), "--grid", "0"]) == 1
+        assert main(["simulate", "--config", str(PARTIAL), "--seed", "1",
+                     "--trials", "abc"]) == 1
+        assert main(["solve", "--config", str(PARTIAL), "--bogus"]) == 1
         assert main(["vp", "--config", str(ORDERING), "--delta", "7"]) == 1
         assert main(["vp", "--config", str(ORDERING), "--delta", "abc"]) == 1
         assert main(["vp", "--config", str(ORDERING), "--delta", "1e-5000"]) == 1
         assert main(["simulate", "--config", str(PARTIAL), "--seed", "1",
                      "--trials", "1"]) == 1
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --bogus" in captured.err
 
     @pytest.mark.parametrize("p", ["0", "1", "2"])
     def test_binary_prior_outside_the_open_interval_exits_one(self, capsys, tmp_path, p):

@@ -386,10 +386,18 @@ class TestOutcomesOnlyAtTheBoundary:
 
     @pytest.mark.parametrize("config", ["binary_ordering.json", "binary_partial.json"])
     @pytest.mark.parametrize("resolution", [20, 100])
-    def test_oracle_command_counts_the_masks(self, monkeypatch, capsys, config, resolution):
+    def test_oracle_command_counts_the_masks(
+        self, monkeypatch, capsys, tmp_path, config, resolution
+    ):
         # `infochain oracle` reports level and garble-proof sizes by counting
         # masks, building outcomes only for the equilibria it prints; on a
-        # binary game it works on the breakpoint grid whatever --grid says
+        # binary game it works on the breakpoint grid, so a prior a third of
+        # a step off the 1/resolution lattice is one of its beliefs
+        doc = json.loads((CONFIGS / config).read_text())
+        prior = F(doc["prior"]["p"]) + F(1, 3 * resolution)
+        doc["prior"]["p"] = str(prior)
+        path = tmp_path / config
+        path.write_text(json.dumps(doc))
         made = []
 
         def counted(*args):
@@ -397,19 +405,20 @@ class TestOutcomesOnlyAtTheBoundary:
             return make_outcome(*args)
 
         monkeypatch.setattr(oracle, "make_outcome", counted)
-        code = main(["oracle", "--config", str(CONFIGS / config), "--grid", str(resolution)])
-        doc = json.loads(capsys.readouterr().out)
+        code = main(["oracle", "--config", str(path)])
+        out = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert 1 <= len(made) <= len(doc["spe"])
+        assert 1 <= len(made) <= len(out["spe"])
         monkeypatch.undo()
-        h = ingest(CONFIGS / config)
+        h = ingest(path)
         grid = breakpoint_grid(h)
-        assert "grid" not in doc
-        assert doc["axes"] == {"q0s": [str(q) for q in grid.q0s], "q1s": [str(q) for q in grid.q1s]}
+        assert "grid" not in out
+        assert str(prior) in out["axes"]["q0s"] + out["axes"]["q1s"]
+        assert out["axes"] == {"q0s": [str(q) for q in grid.q0s], "q1s": [str(q) for q in grid.q1s]}
         chain = ic_chain(h, grid)
         levels = sorted(chain.levels.items())
-        assert doc["pass_levels"] == {str(k): len(tuple(v)) for k, v in levels}
-        assert doc["garble_proof_size"] == len(tuple(chain.garble_proof))
+        assert out["pass_levels"] == {str(k): len(tuple(v)) for k, v in levels}
+        assert out["garble_proof_size"] == len(tuple(chain.garble_proof))
 
 
 def _core_stress_games(rng, resolution, count):
@@ -742,17 +751,14 @@ class TestUniformGrid:
     def test_subgames_match_the_closed_form(self):
         # two routes to one subgame: the stand-in's brute force and
         # solve_subgame_given_support, on canonical acceptance draws at every
-        # feasible 1/30 lattice pair.  Pairs with m0 = w_r are left out: there
-        # the closed form still answers silence by a strict guard, while the
-        # receiver's tie rule lets the split through
+        # feasible 1/30 lattice pair
         rng = random.Random(3003)
         answers = []
         for _ in range(40):
             h, _ = canonicalize_receiver(_random_uniform_game(rng))
-            w_r = h.receiver.utility.crossing
             for m0 in (F(k, 30) for k in range(16)):
                 for m1 in (F(k, 30) for k in range(15, 31)):
-                    if m0 == m1 or m0 == w_r or not mpc_feasible_uniform(m0, m1):
+                    if m0 == m1 or not mpc_feasible_uniform(m0, m1):
                         continue
                     cells = oracle._respond_to_means(h, m0, m1)
                     closed = solve_subgame_given_support(h, m0, m1)
