@@ -59,6 +59,8 @@ from .agents import (
     relabel_hierarchy,
     sender_classes,
     receiver_class,
+    receiver_rule,
+    seat_values,
     split_value,
     table_utility,
     zero_extremist_table,

@@ -127,6 +127,30 @@ def split_value(u: Utility, out: BinaryOutcome, act: Callable[[Fraction], object
     return total
 
 
+def receiver_rule(h: HierarchySpec) -> Callable[[Fraction], bool]:
+    """The closed forms' one receiver rule: whether the receiver of ``h``
+    plays action 1 at a posterior (binary game) or posterior mean (uniform
+    game).  She plays it where her gain from it is positive; where she is
+    exactly indifferent, the last sender's preference decides, and she plays
+    action 1 when that sender gains from it there."""
+    receiver = h.receiver.utility
+    last = h.senders[-1].utility
+
+    def rule(x: Fraction) -> bool:
+        g = receiver.gain_of_action1(x)
+        return g > 0 or (g == 0 and last.gain_of_action1(x) > 0)
+
+    return rule
+
+
+def seat_values(h: HierarchySpec, out: BinaryOutcome) -> tuple[Fraction, ...]:
+    """Every seat's `split_value` of ``out`` under `receiver_rule`, senders
+    first, receiver last."""
+    rule = receiver_rule(h)
+    acts = {x: rule(x) for x in (out.q0, out.q1)}  # decided once, not per seat
+    return tuple(split_value(s.utility, out, acts.__getitem__) for s in (*h.senders, h.receiver))
+
+
 def table_utility(u00: NumberLike, u10: NumberLike, u01: NumberLike, u11: NumberLike) -> TableUtility:
     return TableUtility(as_ratio(u00), as_ratio(u10), as_ratio(u01), as_ratio(u11))
 

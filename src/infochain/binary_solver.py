@@ -11,8 +11,10 @@ and maps the support back to the original labels:
 * otherwise the chain splits exactly at the best-aligned conformist's
   threshold.
 
-Each player's value is `split_value` of the outcome, which the brute-force
-engine re-derives independently from raw definitions.
+The receiver's action, her tie at the threshold included, is
+`agents.receiver_rule`, and each player's value is `agents.seat_values` of the
+outcome; the brute-force engine re-derives both independently from raw
+definitions.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from .agents import (
     EquilibriumKind,
     ExtremistReceiver,
     HierarchySpec,
-    Kind,
     NoInfoCause,
     PivotalReport,
     Relabeling,
@@ -33,8 +34,9 @@ from .agents import (
     canonicalize_receiver,
     pivotal_rule,
     receiver_class,
+    receiver_rule,
+    seat_values,
     sender_classes,
-    split_value,
 )
 
 
@@ -68,16 +70,13 @@ class EquilibriumReport:
 # the equilibrium decision
 # ---------------------------------------------------------------------------
 
-def _tie_action(canon: HierarchySpec, mu_r: Fraction) -> int:
-    g = canon.senders[-1].utility.gain_of_action1(mu_r)
-    return 1 if g > 0 else 0
-
-
 def solve_binary(h: HierarchySpec) -> EquilibriumReport:
     """Closed-form equilibrium of a binary-state chain.
 
     An extremist receiver never reacts, so nothing a sender transmits changes
     her action; the outcome is reported as silence, cause opposed.
+    ``tie_action`` is the receiver's action under `receiver_rule` at her
+    threshold, or at the prior for an extremist receiver.
     """
     if not h.is_binary:
         raise ValidationError("solve_binary needs a binary-state hierarchy")
@@ -86,12 +85,7 @@ def solve_binary(h: HierarchySpec) -> EquilibriumReport:
         canon, rel = canonicalize_receiver(h)
     except ExtremistReceiver:
         p = h.prior.p
-        action = 1 if receiver_class(h).kind is Kind.ONE_EXTREMIST else 0
         silence = make_outcome(p, p, h.prior)
-        values = tuple(
-            split_value(spec.utility, silence, lambda q: action)
-            for spec in (*h.senders, h.receiver)
-        )
         return EquilibriumReport(
             kind=EquilibriumKind.NO_INFO,
             support=(p,),
@@ -100,16 +94,15 @@ def solve_binary(h: HierarchySpec) -> EquilibriumReport:
             efficient=True,
             witness=None,
             labels=labels,
-            values=values,
+            values=seat_values(h, silence),
             no_info_cause=NoInfoCause.OPPOSED,
             relabeling=Relabeling(),
-            tie_action=action,
+            tie_action=int(receiver_rule(h)(p)),
         )
 
     p = canon.prior.p
     mu_r = receiver_class(canon).threshold
     pivotal, kind, cause, split = pivotal_rule(sender_classes(canon), mu_r)
-    tie = _tie_action(canon, mu_r)
 
     if kind is EquilibriumKind.FULL_INFO:
         canon_outcome = make_outcome(0, 1, canon.prior)
@@ -117,14 +110,6 @@ def solve_binary(h: HierarchySpec) -> EquilibriumReport:
         canon_outcome = make_outcome(split, 1, canon.prior)
     else:
         canon_outcome = make_outcome(p, p, canon.prior)
-
-    def act(q: Fraction) -> bool:
-        return q > mu_r or (q == mu_r and tie == 1)
-
-    values = tuple(
-        split_value(spec.utility, canon_outcome, act)
-        for spec in (*canon.senders, canon.receiver)
-    )
 
     support = rel.support_back(canon_outcome.support())
     outcome = make_outcome(support[0], support[-1], h.prior)
@@ -140,8 +125,8 @@ def solve_binary(h: HierarchySpec) -> EquilibriumReport:
         efficient=efficient,
         witness=witness,
         labels=labels,
-        values=values,
+        values=seat_values(canon, canon_outcome),
         no_info_cause=cause,
         relabeling=rel,
-        tie_action=tie,
+        tie_action=int(receiver_rule(canon)(mu_r)),
     )

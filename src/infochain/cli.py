@@ -13,7 +13,8 @@ beliefs for a binary game, with pass-through level sizes, and means for a
 uniform one), ``compare`` (closed form against the oracle, matched exactly;
 exits 2 on disagreement), ``vp`` (appointment advice), ``simulate`` (seeded
 Monte Carlo against analytic values), ``curve`` (first mover's value and the
-subgame's kind along the cut edge, one row per breakpoint mean, as CSV).
+subgame's kind along the cut edge, one row per breakpoint mean, as CSV, and
+her best passing cut or silence).
 Every report is a JSON document whose ``hierarchy`` field re-parses under the
 input schema; ``--out`` additionally writes the report (and any CSV) into a
 directory.  Exit codes: 0 ok, 1 bad input or usage, 2 a ``compare``
@@ -41,6 +42,7 @@ from .core import (
     as_ratio,
     experiment_of_outcome,
     identity_experiment,
+    make_outcome,
 )
 from .agents import (
     AgentSpec,
@@ -58,6 +60,7 @@ from .agents import (
     pivotal_binary,
     pivotal_general,
     receiver_class,
+    seat_values,
     sender_classes,
 )
 from .binary_solver import EquilibriumReport, solve_binary
@@ -505,22 +508,32 @@ def _cmd_curve(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
     The rows are exact.  On the edge, `solve_subgame_given_support` reads m0
     only through the sign of m0 - w and of m0 + 1/2 - w for each crossing w
     of seats 2..n and the receiver (`reclassify_under_support` and the
-    guard; the guard's tie test reads the last sender's gain at w_r, a
+    guard, whose `receiver_rule` reads the last sender's gain only at w_r, a
     number of the game), the order of the stand-in thresholds 2 (w - m0),
     which is the order of the w's, and whether d0 < 1/2 < d1, where d1 is
     m0 + 1/2 and d0 is m0 or a crossing.  All of these change only where m0
     or m0 + 1/2 meets a crossing, 0 or 1/2, which are points of the axis, so
     a midpoint row's kind holds on its whole open gap.  `player1_value` is
     (1 - 2 m0) g(m0 + 1/2) for player 1's gain g = alpha m + beta, a
-    quadratic in m0 with its vertex at v, half her crossing.  Its maximum
-    over [0, 1/2] lies at v (when alpha > 0 and v is in range), at 0 or at
-    1/2, all three points, so the rows' argmax is the edge's."""
+    quadratic in m0 with its vertex at v, half her crossing, a point.
+
+    ``player1_value`` is hers only on a ``pass`` row, so the argmax is taken
+    over the pass rows and silence, which is worth her `seat_values` entry
+    (`split_value` under `receiver_rule`).  ``argmax_m0`` is the first pass
+    row of largest value, or null when silence is worth more; a tie goes to
+    the row.  No vertex
+    lies inside a gap, so on a pass gap the value is monotone and its
+    supremum sits at an end: a pass point, whose own row holds it, or an end
+    that does not pass, which no cut attains.  That such an end never beats
+    the argmax is checked, not proved: criterion 11 requires the argmax to be
+    `solve_general_uniform`'s cut, or among `solve_general_grid`'s answers
+    where the closed form refuses."""
     if h.is_binary:
         raise ValidationError("curve needs a uniform-state hierarchy")
     canon, rel = canonicalize_receiver(h)
     u1 = canon.senders[0].utility
     rows = []
-    best: Optional[tuple[Fraction, Fraction]] = None
+    passing = []
     for m0 in (m for m in breakpoint_means(canon) if m <= HALF):
         m1 = m0 + HALF
         value = player1_value(m0, u1)
@@ -533,12 +546,15 @@ def _cmd_curve(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
             kind = "garbled"
         rows.append({"m0": str(m0), "m1": str(m1), "player1_value": str(value),
                      "player1_value_float": float(value), "subgame_kind": kind})
-        if best is None or value > best[0]:
-            best = (value, m0)
+        if kind == "pass":
+            passing.append((value, m0))
+    silence = seat_values(canon, make_outcome(HALF, HALF, HALF))[0]
+    # max keeps the first of equal values: the lowest row, and a row over silence
+    best_value, best_m0 = max([*passing, (silence, None)], key=lambda row: row[0])
     report = {
         "frame": _relabeling_doc(rel),
-        "argmax_m0": str(best[1]),
-        "argmax_value": str(best[0]),
+        "argmax_m0": None if best_m0 is None else str(best_m0),
+        "argmax_value": str(best_value),
         "rows": rows,
     }
     table = _csv_text([["m0", "m1", "player1_value", "subgame_kind"]] + [

@@ -14,6 +14,11 @@ game reduces to placing m0:
   beyond distance 1/2, kills transmission entirely;
 * within those constraints player 1 parks m0 at her own stationary point.
 
+An extremist receiver never reacts, so every split is worth silence to every
+seat (Kamenica & Gentzkow) and the solver answers silence, as `solve_binary`
+does.  The receiver's action, tie included, is `agents.receiver_rule`, and
+every player's value is `agents.seat_values` of the delivered means.
+
 Supports here are posterior *means*, not posteriors.
 """
 from __future__ import annotations
@@ -49,7 +54,9 @@ from .agents import (
     classify_linear,
     pivotal_rule,
     receiver_class,
+    receiver_rule,
     reclassify_under_support,
+    seat_values,
     sender_classes,
     split_value,
     with_general_pivots,
@@ -135,9 +142,9 @@ def solve_subgame_given_support(
     0-extremists it outranks sit earlier in the chain, and None when play
     collapses to no information.  The receiver must be a conformist biased
     toward action 1 in the original labels (canonicalize first if not).
-    At m0 = w_r, the receiver's indifference mean, she acts on the low cell
-    exactly when the last sender gains from action 1 there (the oracle's
-    tie rule), and then acts on both cells: no information.
+    The receiver's action is `receiver_rule`: at m0 = w_r, her indifference
+    mean, she acts on the low cell exactly when the last sender gains from
+    action 1 there, and then acts on both cells: no information.
     """
     _require_uniform_linear(h)
     m0, m1 = as_ratio(m0), as_ratio(m1)
@@ -152,7 +159,8 @@ def solve_subgame_given_support(
             "canonicalize the hierarchy first"
         )
     w_r = r_cls.threshold
-    if not m0 <= w_r < m1 or (m0 == w_r and h.senders[-1].utility.gain_of_action1(w_r) > 0):
+    rule = receiver_rule(h)
+    if rule(m0) or not rule(m1):
         return None  # the receiver cannot split on this range
     classes = [
         reclassify_under_support(classify_linear(s.utility), m0, m1)
@@ -194,18 +202,7 @@ def _report(
     pivotal: Optional[PivotalReport],
     rel: Relabeling,
 ) -> GeneralEquilibriumReport:
-    # values in the original frame: each agent's premium accrues on the cells
-    # where the original receiver strictly favours action 1 (delivered means
-    # never sit on her indifference point)
-    ru = h.receiver.utility
     out = make_outcome(support[0], support[-1], HALF)
-
-    def act(m: Fraction) -> bool:
-        return ru.gain_of_action1(m) > 0
-
-    values = tuple(
-        split_value(spec.utility, out, act) for spec in (*h.senders, h.receiver)
-    )
     return GeneralEquilibriumReport(
         kind=kind,
         support=support,
@@ -214,7 +211,7 @@ def _report(
         pivotal=pivotal,
         efficient=trace not in INEFFICIENT_TRACES,
         labels=h.labels,
-        values=values,
+        values=seat_values(h, out),
         relabeling=rel,
     )
 
@@ -222,18 +219,18 @@ def _report(
 def solve_general_uniform(h: HierarchySpec) -> GeneralEquilibriumReport:
     """Closed-form equilibrium of the uniform-state linear chain.
 
-    Raises NotCovered rather than guessing outside the characterized region:
-    extremist receivers, chains with no conformist anywhere, and parameter
-    corners where the pivot-placed support would not actually survive the
-    induced subgame.
+    An extremist receiver gets silence, trace "1a", with no pivotal report
+    and the identity relabeling.  Raises NotCovered rather than guessing
+    outside the characterized region: chains with no conformist anywhere, a
+    distant 0-biased conformist with no conformist intermediary ahead of the
+    receiver's indifference mean, and parameter corners where the
+    pivot-placed support would not actually survive the induced subgame.
     """
     _require_uniform_linear(h)
     try:
         canon, rel = canonicalize_receiver(h)
-    except ExtremistReceiver as exc:
-        raise NotCovered(
-            "the receiver ignores information; no support is selected"
-        ) from exc
+    except ExtremistReceiver:
+        return _report(h, GeneralKind.NO_INFO, (HALF,), TRACE_OPPOSED, None, Relabeling())
     classes = sender_classes(canon)
     w_r = receiver_class(canon).threshold
 
@@ -267,7 +264,7 @@ def solve_general_uniform(h: HierarchySpec) -> GeneralEquilibriumReport:
         )
         if (
             not conformist_before_receiver
-            and canon.senders[-1].utility.gain_of_action1(w_r) <= 0
+            and not receiver_rule(canon)(w_r)
             and canon.senders[0].utility.gain_of_action1(w_r) <= 0
         ):
             raise NotCovered(

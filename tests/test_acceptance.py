@@ -344,10 +344,10 @@ def test_criterion_11_curve_rows_stand_for_their_gaps(announce):
             yield _cross_check.random_off_lattice_uniform_game(rng)
 
     config = RunConfig(Path(), "curve")
-    games = probes = 0
+    games = probes = covered = silent = 0
     for h in draws():
         _, doc, _ = _cmd_curve(h, config)
-        canon, _ = canonicalize_receiver(h)
+        canon, rel = canonicalize_receiver(h)
         rows = {F(row["m0"]): row["subgame_kind"] for row in doc["rows"]}
         axis = [m for m in breakpoint_means(canon) if m <= half]
         assert list(rows) == axis, h
@@ -360,20 +360,28 @@ def test_criterion_11_curve_rows_stand_for_their_gaps(announce):
             if points[i] != m0:
                 probes += 1
                 assert kind(canon, m0) == rows[(points[i - 1] + points[i]) / 2], (h, m0)
-        # player 1's value is a quadratic with its vertex at v: concave when
-        # alpha > 0, so it peaks at v clamped to [0, 1/2], else at an end
-        u1 = canon.senders[0].utility
-        if u1.alpha > 0:
-            best = min(max(u1.crossing / 2, F(0)), half)
+        # the argmax, a pass row or silence (null), mapped back to the
+        # original frame, is the closed form's support where it answers and
+        # among the exhaustive search's answers where it refuses
+        if doc["argmax_m0"] is None:
+            pair = (half, half)
+            silent += 1
         else:
-            best = F(0) if player1_value(0, u1) >= player1_value(half, u1) else half
-        assert (doc["argmax_m0"], doc["argmax_value"]) == (
-            str(best), str(player1_value(best, u1))), h
+            m0 = F(doc["argmax_m0"])
+            pair = rel.support_back((m0, m0 + half))
+        try:
+            report = solve_general_uniform(h)
+        except NotCovered:
+            assert pair in solve_general_grid(h, breakpoint_means(h)), h
+        else:
+            covered += 1
+            assert pair == ((half, half) if len(report.support) == 1 else report.support), h
         games += 1
     elapsed = time.perf_counter() - start
     announce(f"criterion 11: PASS - {games}/{games} curves: {probes} off-axis lattice means "
-             f"of the kind of their gap's row, argmax where the quadratic peaks "
-             f"({elapsed:.1f}s)")
+             f"of the kind of their gap's row; argmax ({silent} silent) equal to the closed "
+             f"form on {covered} covered draws and in the pair search on "
+             f"{games - covered} refused ones ({elapsed:.1f}s)")
 
 
 # ---------------------------------------------------------------------------

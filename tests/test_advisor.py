@@ -213,8 +213,13 @@ class TestGeneralAppointment:
         assert rec.receiver_gain > 0
 
     def test_not_covered_propagates(self):
-        h = gchain(CASE_C, receiver=linear_utility(1, F(1, 10)))
+        h = gchain([conf("0.32"), contr("0.2"), conf("0.58")])
         with pytest.raises(NotCovered):
+            optimal_vp_general(h)
+
+    def test_extremist_receiver_gains_nothing(self):
+        h = gchain(CASE_C, receiver=linear_utility(1, F(1, 10)))
+        with pytest.raises(NoImprovement):
             optimal_vp_general(h)
 
     def test_relabeling_equivariance(self):

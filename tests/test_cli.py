@@ -285,26 +285,37 @@ class TestCommands:
         assert out["closed_form"]["support"] == ["1/5", "7/10"]
         assert out["oracle"] == [["4/25", "33/50"]]
 
-    @pytest.mark.parametrize("resolution", [20, 100])
-    def test_compare_agrees_on_an_extremist_receiver(self, capsys, tmp_path, resolution):
-        # a receiver who never reacts leaves every outcome silent, at a prior
-        # a third of a step off the 1/resolution lattice as well
-        prior = F(3, 5) + F(1, 3 * resolution)
-        doc = {
-            "prior": {"kind": "binary", "p": str(prior)},
-            "senders": [{"model": "table", "params": {
-                "u00": "0", "u10": "-1", "u01": "-3/5", "u11": "2/5"}}],
-            "receiver": {"model": "table", "params": {
-                "u00": "2", "u10": "1", "u01": "0", "u11": "0"}},
-        }
+    @pytest.mark.parametrize("game", [20, 100, "uniform"])
+    def test_compare_agrees_on_an_extremist_receiver(self, capsys, tmp_path, game):
+        # a receiver who never reacts leaves every outcome silent: in a binary
+        # game at a prior a third of a step off the 1/game lattice, and in a
+        # uniform one
+        if game == "uniform":
+            doc = {
+                "prior": {"kind": "uniform"},
+                "senders": [{"model": "linear", "params": {"alpha": "1", "beta": f"-{w}"}}
+                            for w in ("8/25", "1/5", "29/50")],
+                "receiver": {"model": "linear", "params": {"alpha": "1", "beta": "1/10"}},
+            }
+            cause, silence = ("condition_trace", "1a"), ["1/2", "1/2"]
+        else:
+            prior = F(3, 5) + F(1, 3 * game)
+            doc = {
+                "prior": {"kind": "binary", "p": str(prior)},
+                "senders": [{"model": "table", "params": {
+                    "u00": "0", "u10": "-1", "u01": "-3/5", "u11": "2/5"}}],
+                "receiver": {"model": "table", "params": {
+                    "u00": "2", "u10": "1", "u01": "0", "u11": "0"}},
+            }
+            cause, silence = ("cause", "opposed"), [str(prior)]
         path = tmp_path / "extremist.json"
         path.write_text(json.dumps(doc))
         code, out = run_json(capsys, "compare", "--config", path)
         assert code == 0
         assert out["closed_form"]["kind"] == "no-info"
-        assert out["closed_form"]["cause"] == "opposed"
+        assert out["closed_form"][cause[0]] == cause[1]
         assert out["matched"] is True
-        assert out["oracle"] == [[str(prior)]]
+        assert out["oracle"] == [silence]
 
     def test_vp_binary(self, capsys):
         code, doc = run_json(capsys, "vp", "--config", ORDERING)
@@ -402,6 +413,9 @@ class TestCommands:
         by_m0 = {row["m0"]: row for row in doc["rows"]}
         assert by_m0["3/10"]["m1"] == "4/5"
         assert by_m0["3/10"]["subgame_kind"] == "pass"
+        # no pass row beats silence, so the argmax is silence at player 1's
+        # value in `solve`, not the garbled rows' higher player1_value
+        assert (doc["argmax_m0"], doc["argmax_value"]) == (None, "3/10")
 
     def test_curve_rejects_binary_chains(self, capsys):
         assert main(["curve", "--config", str(ORDERING)]) == 1

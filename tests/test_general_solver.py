@@ -23,6 +23,7 @@ from infochain import (
     TableUtility,
     UniformPrior,
     ValidationError,
+    canonicalize_receiver,
     hierarchy,
     linear_utility,
     make_outcome,
@@ -36,7 +37,14 @@ from infochain import (
 )
 from infochain.binary_solver import EquilibriumKind
 from infochain.core import HALF
-from infochain.oracle import solve_general_grid
+from infochain.general_solver import _report
+from infochain.oracle import (
+    _means_value,
+    _respond_to_means,
+    breakpoint_means,
+    solve_general_grid,
+)
+from test_acceptance import _random_uniform_game
 
 U = UniformPrior()
 
@@ -265,9 +273,16 @@ class TestSolveGeneralUniform:
         with pytest.raises(NotCovered):
             solve_general_uniform(chain([contr("0.1"), contr("0.2")]))
 
-    def test_extremist_receiver_not_covered(self):
-        with pytest.raises(NotCovered):
-            solve_general_uniform(chain(CASE_C, receiver=linear_utility(1, F(1, 10))))
+    def test_extremist_receiver_gets_silence(self):
+        # a receiver who never reacts makes every split worth silence, and
+        # the exhaustive search answers silence too
+        h = chain(CASE_C, receiver=linear_utility(1, F(1, 10)))
+        r = solve_general_uniform(h)
+        assert r.kind is GeneralKind.NO_INFO
+        assert (r.support, r.cut, r.condition_trace) == ((HALF,), None, "1a")
+        assert r.pivotal is None and r.relabeling.identity and r.efficient
+        assert r.values == tuple(s.utility.gain_of_action1(HALF) for s in (*h.senders, h.receiver))
+        assert solve_general_grid(h, breakpoint_means(h)) == [(HALF, HALF)]
 
     def test_supported_spread_is_half(self):
         for senders in ([contr("0.1"), conf("0.25")], CASE_C,
@@ -275,6 +290,35 @@ class TestSolveGeneralUniform:
             r = solve_general_uniform(chain(senders))
             m0, m1 = r.support
             assert m1 - m0 == HALF
+
+
+class TestReportValues:
+    def test_values_follow_the_tie_rule_under_a_relabeling(self):
+        # on the seed-3003 draws the closed form refuses, the exhaustive
+        # search answers a cut with one mean on the receiver's indifference
+        # mean; where the receiver is relabeled, the report must value that
+        # cut, tie included, as the oracle does
+        rng = random.Random(3003)
+        relabeled = 0
+        for _ in range(286):
+            h = _random_uniform_game(rng)
+            try:
+                solve_general_uniform(h)
+                continue
+            except NotCovered:
+                pass
+            rel = canonicalize_receiver(h)[1]
+            if rel.identity:
+                continue
+            relabeled += 1
+            for m0, m1 in solve_general_grid(h, breakpoint_means(h)):
+                support = (m0,) if m0 == m1 else (m0, m1)
+                r = _report(h, GeneralKind.SUPPORTED, support, "a", None, rel)
+                cells = _respond_to_means(h, m0, m1)
+                assert r.values == tuple(
+                    _means_value(s.utility, cells) for s in (*h.senders, h.receiver)
+                ), (h, m0, m1)
+        assert relabeled == 40
 
 
 class TestRelabelingEquivariance:

@@ -3,7 +3,10 @@ a small input, so that an API change in the package cannot leave them broken."""
 from __future__ import annotations
 
 import csv
+import hashlib
 from fractions import Fraction
+
+import pytest
 
 from test_acceptance import ROOT, _load_script
 
@@ -24,6 +27,20 @@ def test_cross_check_digest_repeats(capsys):
     assert runs[0] == runs[1]
     assert [line.split(":")[0] for line in runs[0].splitlines()] == [
         f"{mode} {i}" for mode in ("binary", "uniform") for i in range(3)]
+
+
+@pytest.mark.parametrize("mode,games,seed,md5", [
+    ("binary", 500, 1001, "4a43a247ac7dfd3fd2ecd1f1ebb61a89"),
+    ("uniform", 286, 3003, "3b1184f9c53acf09f1831390a5ab3575"),
+], ids=["binary", "uniform"])
+def test_cross_check_digest_is_pinned(capsys, mode, games, seed, md5):
+    # both routes' answers, every player's exact value included, on the
+    # acceptance suites' draws; a change that moves an answer updates the md5
+    # and says why
+    cross_check = _load_script("cross_check")
+    argv = ["--digest", "--mode", mode, "--games", str(games), "--seed", str(seed)]
+    assert cross_check.main(argv) == 0
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == md5
 
 
 def test_sweep_threshold_writes_one_row_per_step(capsys, tmp_path):
