@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Randomized agreement check between the closed forms and the grid oracle.
 
-Draws random hierarchies, solves each with the closed-form engine, and then
-reproduces the answer by brute force: the binary mode asks for the closed
-support among the grid equilibria on the game's breakpoints
+Draws random hierarchies and takes both routes' answers on each from
+`infochain.cli.routes`, as ``infochain compare`` does: the closed-form
+engine's, and the brute force's that reproduces it.  The binary mode asks
+for the closed support among the grid equilibria on the game's breakpoints
 (`breakpoint_grid`, exact, so any mismatch is real) and for each player's
 closed-form value to equal the oracle's from-definition value of the closed
 outcome, the uniform mode for the closed support among the surviving mean
@@ -43,26 +44,19 @@ from infochain import (
     AgentSpec,
     BinaryPrior,
     GeneralEquilibriumReport,
-    GeneralKind,
     HierarchySpec,
     NotCovered,
     UniformPrior,
-    breakpoint_grid,
-    breakpoint_means,
     conformist_table,
     contrarian_table,
     hierarchy,
     linear_utility,
     one_extremist_table,
     outcome_value,
-    solve_binary,
-    solve_general_grid,
-    solve_general_uniform,
-    solve_spe_grid,
     verify_simple_equilibrium,
     zero_extremist_table,
 )
-from infochain.cli import hierarchy_doc
+from infochain.cli import hierarchy_doc, routes
 from infochain.oracle import action_rule
 
 HUNDREDTHS = [F(k, 100) for k in range(1, 100)]
@@ -111,54 +105,41 @@ def random_off_lattice_uniform_game(rng: random.Random) -> HierarchySpec:
     return random_uniform_game(rng, OFF_LATTICE_MEANS)
 
 
-def check_binary(games: int, seed: int) -> int:
-    rng = random.Random(seed)
-    failures = 0
-    for i in range(games):
-        h = random_binary_game(rng)
-        report = solve_binary(h)
-        supports = [o.support() for o in solve_spe_grid(h, breakpoint_grid(h))]
-        if report.support not in supports:
-            failures += 1
-            print(f"[binary {i}] closed support {report.support} not among "
-                  f"{supports}\n  hierarchy: {hierarchy_doc(h)}")
-        act = action_rule(h)
-        values = tuple(outcome_value(spec.utility, report.outcome, act)
-                       for spec in (*h.senders, h.receiver))
-        if report.values != values:
-            failures += 1
-            print(f"[binary {i}] closed values {show_pair(report.values)} differ from "
-                  f"the oracle's {show_pair(values)}\n  hierarchy: {hierarchy_doc(h)}")
-        if not verify_simple_equilibrium(h, report):
-            failures += 1
-            print(f"[binary {i}] pass-through verifier rejects closed support "
-                  f"{report.support}\n  hierarchy: {hierarchy_doc(h)}")
-    return failures
+DRAWS = {"binary": random_binary_game, "uniform": random_uniform_game}
 
 
-def check_uniform(games: int, seed: int) -> int:
+def check(family: str, games: int, seed: int) -> int:
+    """Both routes on `games` covered draws of one family: the closed support
+    among the oracle's, the binary values equal to the oracle's
+    from-definition values, and the closed report past the verifier."""
     rng = random.Random(seed)
     failures = skipped = solved = 0
     while solved < games:
-        h = random_uniform_game(rng)
-        try:
-            report = solve_general_uniform(h)
-        except NotCovered:
+        h = DRAWS[family](rng)
+        report, support, found, _ = routes(h)
+        if isinstance(report, NotCovered):
             skipped += 1
             continue
+        where = f"[{family} {solved}]"
         solved += 1
-        target = (F(1, 2), F(1, 2)) if report.kind is GeneralKind.NO_INFO else report.support
-        pairs = solve_general_grid(h, breakpoint_means(h))
-        if target not in pairs:
+        if support not in found:
             failures += 1
-            print(f"[uniform {solved - 1}] closed support {target} not among "
-                  f"{pairs}\n  hierarchy: {hierarchy_doc(h)}")
+            print(f"{where} closed support {support} not among {found}\n"
+                  f"  hierarchy: {hierarchy_doc(h)}")
+        if h.is_binary:
+            act = action_rule(h)
+            values = tuple(outcome_value(spec.utility, report.outcome, act)
+                           for spec in (*h.senders, h.receiver))
+            if report.values != values:
+                failures += 1
+                print(f"{where} closed values {show_pair(report.values)} differ from "
+                      f"the oracle's {show_pair(values)}\n  hierarchy: {hierarchy_doc(h)}")
         if not verify_simple_equilibrium(h, report):
             failures += 1
-            print(f"[uniform {solved - 1}] subgame verifier rejects closed support "
+            print(f"{where} pass-through verifier rejects closed support "
                   f"{report.support}\n  hierarchy: {hierarchy_doc(h)}")
     if skipped:
-        print(f"uniform: skipped {skipped} games outside the characterized region",
+        print(f"{family}: skipped {skipped} games outside the characterized region",
               file=sys.stderr)
     return failures
 
@@ -187,29 +168,17 @@ def describe(report) -> str:
             f"values {show_pair(report.values)}")
 
 
-def digest_binary(games: int, seed: int) -> None:
+def digest(family: str, games: int, seed: int) -> None:
     rng = random.Random(seed)
     for i in range(games):
-        h = random_binary_game(rng)
-        report = solve_binary(h)
-        supports = [o.support() for o in solve_spe_grid(h, breakpoint_grid(h))]
-        verdict = verify_simple_equilibrium(h, report)
-        print(f"binary {i}: closed {describe(report)} spe {show(supports)} "
-              f"verified {verdict}")
-
-
-def digest_uniform(games: int, seed: int) -> None:
-    rng = random.Random(seed)
-    for i in range(games):
-        h = random_uniform_game(rng)
-        try:
-            report = solve_general_uniform(h)
-        except NotCovered as exc:
-            closed, verdict = f"not-covered: {exc}", "not-covered"
+        h = DRAWS[family](rng)
+        report, _, found, _ = routes(h)
+        if isinstance(report, NotCovered):
+            closed, verdict = f"not-covered: {report}", "not-covered"
         else:
             closed, verdict = describe(report), verify_simple_equilibrium(h, report)
-        print(f"uniform {i}: closed {closed} "
-              f"pairs {show(solve_general_grid(h, breakpoint_means(h)))} verified {verdict}")
+        oracle = "spe" if h.is_binary else "pairs"
+        print(f"{family} {i}: closed {closed} {oracle} {show(found)} verified {verdict}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -222,20 +191,14 @@ def main(argv: list[str] | None = None) -> int:
                     help="print both routes' answers per drawn game instead of "
                          "checking them, with no timings")
     args = ap.parse_args(argv)
-    binary, uniform = args.mode in ("binary", "both"), args.mode in ("uniform", "both")
+    families = list(DRAWS) if args.mode == "both" else [args.mode]
     if args.digest:
-        if binary:
-            digest_binary(args.games, args.seed)
-        if uniform:
-            digest_uniform(args.games, args.seed)
+        for family in families:
+            digest(family, args.games, args.seed)
         return 0
 
-    failures = 0
     start = time.perf_counter()
-    if binary:
-        failures += check_binary(args.games, args.seed)
-    if uniform:
-        failures += check_uniform(args.games, args.seed)
+    failures = sum(check(family, args.games, args.seed) for family in families)
     elapsed = time.perf_counter() - start
     verdict = "OK" if failures == 0 else f"{failures} MISMATCHES"
     print(f"{verdict} ({args.mode}, {args.games} games/mode, {elapsed:.1f}s)")

@@ -403,35 +403,19 @@ class Relabeling:
         return tuple(sorted(1 - q for q in pair))
 
 
-def _flip_table_action(u: TableUtility) -> TableUtility:
-    return TableUtility(u.u01, u.u11, u.u00, u.u10)
-
-
-def _flip_table_state(u: TableUtility) -> TableUtility:
-    return TableUtility(u.u10, u.u00, u.u11, u.u01)
-
-
-def _flip_linear_action(u: LinearUtility) -> LinearUtility:
-    # negating the premium and restoring the zero action-0 baseline shifts
-    # every outcome's value by a constant, so preferences are untouched
-    return LinearUtility(-u.alpha, -u.beta)
-
-
-def _flip_linear_state(u: LinearUtility) -> LinearUtility:
-    return LinearUtility(-u.alpha, u.alpha + u.beta)
-
-
 def relabel_utility(u: Utility, flip_action: bool, flip_state: bool) -> Utility:
     if isinstance(u, TableUtility):
         if flip_action:
-            u = _flip_table_action(u)
+            u = TableUtility(u.u01, u.u11, u.u00, u.u10)
         if flip_state:
-            u = _flip_table_state(u)
+            u = TableUtility(u.u10, u.u00, u.u11, u.u01)
         return u
     if flip_action:
-        u = _flip_linear_action(u)
+        # negating the premium and restoring the zero action-0 baseline shifts
+        # every outcome's value by a constant, so preferences are untouched
+        u = LinearUtility(-u.alpha, -u.beta)
     if flip_state:
-        u = _flip_linear_state(u)
+        u = LinearUtility(-u.alpha, u.alpha + u.beta)
     return u
 
 

@@ -80,29 +80,15 @@ def solve_binary(h: HierarchySpec) -> EquilibriumReport:
     """
     if not h.is_binary:
         raise ValidationError("solve_binary needs a binary-state hierarchy")
-    labels = h.labels
     try:
         canon, rel = canonicalize_receiver(h)
     except ExtremistReceiver:
-        p = h.prior.p
-        silence = make_outcome(p, p, h.prior)
-        return EquilibriumReport(
-            kind=EquilibriumKind.NO_INFO,
-            support=(p,),
-            outcome=silence,
-            pivotal=None,
-            efficient=True,
-            witness=None,
-            labels=labels,
-            values=seat_values(h, silence),
-            no_info_cause=NoInfoCause.OPPOSED,
-            relabeling=Relabeling(),
-            tie_action=int(receiver_rule(h)(p)),
-        )
-
+        canon, rel, mu_r = h, Relabeling(), h.prior.p
+        pivotal, kind, cause = None, EquilibriumKind.NO_INFO, NoInfoCause.OPPOSED
+    else:
+        mu_r = receiver_class(canon).threshold
+        pivotal, kind, cause, split = pivotal_rule(sender_classes(canon), mu_r)
     p = canon.prior.p
-    mu_r = receiver_class(canon).threshold
-    pivotal, kind, cause, split = pivotal_rule(sender_classes(canon), mu_r)
 
     if kind is EquilibriumKind.FULL_INFO:
         canon_outcome = make_outcome(0, 1, canon.prior)
@@ -114,9 +100,7 @@ def solve_binary(h: HierarchySpec) -> EquilibriumReport:
     support = rel.support_back(canon_outcome.support())
     outcome = make_outcome(support[0], support[-1], h.prior)
     efficient = cause is not NoInfoCause.ORDERING
-    witness = None
-    if not efficient:
-        witness = (pivotal.d_star_threshold, pivotal.a_star_threshold)
+    witness = None if efficient else (pivotal.d_star_threshold, pivotal.a_star_threshold)
     return EquilibriumReport(
         kind=kind,
         support=support,
@@ -124,7 +108,7 @@ def solve_binary(h: HierarchySpec) -> EquilibriumReport:
         pivotal=pivotal,
         efficient=efficient,
         witness=witness,
-        labels=labels,
+        labels=h.labels,
         values=seat_values(canon, canon_outcome),
         no_info_cause=cause,
         relabeling=rel,

@@ -52,6 +52,7 @@ from .agents import (
     LinearUtility,
     NoConformist,
     PivotalReport,
+    Relabeling,
     TableUtility,
     ThresholdCollision,
     ValidationError,
@@ -73,7 +74,6 @@ from .general_solver import (
 )
 from .advisor import NoImprovement, optimal_vp_binary, optimal_vp_general
 from .oracle import (
-    EmptyLevelSet,
     IntervalCut,
     SeedRequired,
     breakpoint_grid,
@@ -359,6 +359,33 @@ def _solve_for(h: HierarchySpec):
     return solve_binary(h) if h.is_binary else solve_general_uniform(h)
 
 
+def routes(h: HierarchySpec):
+    """Both routes on one hierarchy: (closed, support, found, axes).
+
+    ``closed`` is the closed form's report, or the `NotCovered` it raised in
+    its place.  ``support`` is the closed support as the oracle writes one:
+    a silent uniform report's (1/2,) becomes the pair (1/2, 1/2), and a
+    refusal has None.  ``axes`` are the game's breakpoints, a binary game's
+    `breakpoint_grid` or a uniform game's `breakpoint_means`, and ``found``
+    the oracle's supports on them: `solve_spe_grid`'s, or the pairs of
+    `solve_general_grid`.  The two routes agree when ``support`` is among
+    ``found``."""
+    try:
+        closed = _solve_for(h)
+        support = closed.support
+    except NotCovered as e:
+        closed, support = e, None
+    if h.is_binary:
+        axes = breakpoint_grid(h)
+        found = [o.support() for o in solve_spe_grid(h, axes)]
+    else:
+        axes = breakpoint_means(h)
+        found = solve_general_grid(h, axes)
+        if support == (HALF,):
+            support = (HALF, HALF)
+    return closed, support, found, axes
+
+
 # ---------------------------------------------------------------------------
 # commands (each returns exit code, report document, extra files)
 # ---------------------------------------------------------------------------
@@ -423,24 +450,14 @@ def _cmd_oracle(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
 
 
 def _cmd_compare(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
-    r = _solve_for(h)
-    if h.is_binary:
-        grid = breakpoint_grid(h)
-        candidates = [o.support() for o in solve_spe_grid(h, grid)]
-        mine = r.support
-        scope = {"axes": {"q0s": _nums(grid.q0s), "q1s": _nums(grid.q1s)}}
-    else:
-        means = breakpoint_means(h)
-        candidates = solve_general_grid(h, means)
-        mine = (HALF, HALF) if len(r.support) == 1 else r.support
-        scope = {"means": _nums(means)}
-    matched = mine in candidates
-    report = {
-        "matched": matched,
-        **scope,
-        "closed_form": _solve_doc(r),
-        "oracle": [_nums(c) for c in candidates],
-    }
+    closed, support, found, axes = routes(h)
+    if isinstance(closed, NotCovered):
+        raise closed
+    scope = ({"axes": {"q0s": _nums(axes.q0s), "q1s": _nums(axes.q1s)}} if h.is_binary
+             else {"means": _nums(axes)})
+    matched = support in found
+    report = {"matched": matched, **scope, "closed_form": _solve_doc(closed),
+              "oracle": [_nums(c) for c in found]}
     return (0 if matched else 2), report, {}
 
 
@@ -530,11 +547,15 @@ def _cmd_curve(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
     where the closed form refuses."""
     if h.is_binary:
         raise ValidationError("curve needs a uniform-state hierarchy")
-    canon, rel = canonicalize_receiver(h)
+    try:
+        canon, rel = canonicalize_receiver(h)
+        means = breakpoint_means(canon)
+    except ExtremistReceiver:
+        canon, rel, means = h, Relabeling(), ()  # no cut moves her action
     u1 = canon.senders[0].utility
     rows = []
     passing = []
-    for m0 in (m for m in breakpoint_means(canon) if m <= HALF):
+    for m0 in (m for m in means if m <= HALF):
         m1 = m0 + HALF
         value = player1_value(m0, u1)
         delivered = solve_subgame_given_support(canon, m0, m1)
@@ -585,7 +606,6 @@ _INPUT_ERRORS = (
     NoConformist,
     NotCovered,
     SeedRequired,
-    EmptyLevelSet,
 )
 
 

@@ -271,46 +271,28 @@ def _gain_sign(u: Utility) -> Callable[[Fraction], int]:
     return sign
 
 
-def tie_rule(h: HierarchySpec) -> Callable[[Fraction], int]:
-    """Action the receiver takes when exactly indifferent: the last sender's
-    preferred action there (falling back to 0 if that sender is indifferent
-    too, which is the information-preserving direction in the canonical
-    frame)."""
-    sign = _gain_sign(h.senders[-1].utility)
-
-    def tie(q: Fraction) -> int:
-        return 1 if sign(q) > 0 else 0
-
-    return tie
-
-
 def action_rule(h: HierarchySpec) -> Callable[[Fraction], int]:
     """Receiver's action as a function of the posterior (binary game) or the
-    posterior mean (uniform game), ties resolved by `tie_rule`."""
+    posterior mean (uniform game).  When she is exactly indifferent she takes
+    the last sender's preferred action there, falling back to 0 if that
+    sender is indifferent too, which is the information-preserving direction
+    in the canonical frame."""
     sign = _gain_sign(h.receiver.utility)
-    tie = tie_rule(h)
+    tie = _gain_sign(h.senders[-1].utility)
 
     def act(q: Fraction) -> int:
-        s = sign(q)
-        if s:
-            return 1 if s > 0 else 0
-        return tie(q)
+        return 1 if (sign(q) or tie(q)) > 0 else 0
 
     return act
-
-
-def outcome_cells(out: BinaryOutcome) -> list[tuple[Fraction, Fraction]]:
-    if out.degenerate:
-        return [(out.p, Fraction(1))]
-    return [(out.q0, out.w0), (out.q1, out.w1)]
 
 
 def outcome_value(u: TableUtility, out: BinaryOutcome, act: Callable[[Fraction], int]) -> Fraction:
     """Expected utility of a table agent given an outcome, straight from the
     definition (no rearrangement): weight each posterior cell by the payoff of
     the receiver's action there."""
+    cells = [(out.p, Fraction(1))] if out.degenerate else [(out.q0, out.w0), (out.q1, out.w1)]
     total = Fraction(0)
-    for q, w in outcome_cells(out):
+    for q, w in cells:
         a = act(q)
         total += w * (q * u.value(1, a) + (1 - q) * u.value(0, a))
     return total
@@ -670,31 +652,24 @@ def _passed_unchanged(h: HierarchySpec, grid: OutcomeGrid, first_seat: int, cell
     return all(member[0][last] for _, member in _level_sets(h, core, actions, first_seat))
 
 
-def _uniform_subgame_tables(h: HierarchySpec, m0: Fraction, m1: Fraction) -> HierarchySpec:
+def _stand_in(h: HierarchySpec, m0: Fraction, m1: Fraction) -> tuple[HierarchySpec, OutcomeGrid]:
     """Binary-state stand-in for the subgame after player 1 induces means
-    (m0, m1): state s is the cell with mean m_s, and each later agent's payoff
-    is its action-1 premium at that mean (action-0 payoff normalized away)."""
+    m0 < 1/2 < m1, and its `breakpoint_grid`.  In the stand-in, state s is
+    the cell with mean m_s, and each later agent's payoff is its action-1
+    premium at that mean (action-0 payoff normalized away).  An agent with
+    crossing w has the gain line g(m0) + (g(m1) - g(m0)) q there, so the
+    axes hold 0, the stand-in's prior, 1 and each crossing of seats 2..n and
+    the receiver inside (m0, m1), mapped to (w - m0)/(m1 - m0).  The proof
+    there makes the stand-in's answer its continuum answer."""
     zero = Fraction(0)
 
     def as_table(u: LinearUtility) -> TableUtility:
         return TableUtility(zero, zero, u.gain_of_action1(m0), u.gain_of_action1(m1))
 
     p_sub = BinaryPrior((HALF - m0) / (m1 - m0))
-    senders = tuple(
-        type(s)(utility=as_table(s.utility), label=s.label) for s in h.senders[1:]
-    )
+    senders = tuple(type(s)(utility=as_table(s.utility), label=s.label) for s in h.senders[1:])
     receiver = type(h.receiver)(utility=as_table(h.receiver.utility), label=h.receiver.label)
-    return HierarchySpec(senders=senders, receiver=receiver, prior=p_sub)
-
-
-def _stand_in(h: HierarchySpec, m0: Fraction, m1: Fraction) -> tuple[HierarchySpec, OutcomeGrid]:
-    """`_uniform_subgame_tables` for means m0 < 1/2 < m1, and its
-    `breakpoint_grid`: an agent with crossing w has the gain line
-    g(m0) + (g(m1) - g(m0)) q there, so the axes hold 0, the stand-in's
-    prior, 1 and each crossing of seats 2..n and the receiver inside
-    (m0, m1), mapped to (w - m0)/(m1 - m0).  The proof there makes the
-    stand-in's answer its continuum answer."""
-    sub = _uniform_subgame_tables(h, m0, m1)
+    sub = HierarchySpec(senders=senders, receiver=receiver, prior=p_sub)
     return sub, breakpoint_grid(sub)
 
 

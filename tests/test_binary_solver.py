@@ -19,6 +19,7 @@ from infochain import (
     no_information,
     one_extremist_table,
     quadratic_loss_table,
+    receiver_rule,
     relabel_hierarchy,
     solve_binary,
     split_value,
@@ -135,10 +136,15 @@ class TestSolveBinary:
 
     def test_extremist_receiver_full_info_constant_action(self):
         senders = [conformist_table(F(1, 4)), contrarian_table(F(1, 10))]
-        r = solve_binary(hierarchy(senders, one_extremist_table(), P))
+        h = hierarchy(senders, one_extremist_table(), P)
+        r = solve_binary(h)
         assert r.kind is EquilibriumKind.NO_INFO
         assert r.support == (P.p,)
         assert r.no_info_cause is NoInfoCause.OPPOSED
+        assert r.pivotal is None and r.witness is None
+        assert r.relabeling == Relabeling() and r.efficient
+        assert r.outcome == make_outcome(P.p, P.p, h.prior)
+        assert r.tie_action == int(receiver_rule(h)(P.p))
         # the receiver always acts 1, so everyone earns the constant-action value
         for u, v in zip([*senders, one_extremist_table()], r.values):
             assert v == P.p * u.u11 + (1 - P.p) * u.u01

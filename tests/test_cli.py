@@ -30,7 +30,7 @@ from infochain.cli import (
     ingest,
     main,
 )
-from infochain.oracle import SeedRequired
+from infochain.oracle import EmptyLevelSet, SeedRequired
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -38,6 +38,20 @@ ORDERING = CONFIGS / "binary_ordering.json"
 PARTIAL = CONFIGS / "binary_partial.json"
 INTERIOR = CONFIGS / "uniform_interior.json"
 SILENT = CONFIGS / "uniform_silent.json"
+
+
+def uniform_config(tmp_path, senders, receiver) -> Path:
+    """A uniform-state config of linear agents, each given as (alpha, beta)."""
+    def linear(alpha, beta):
+        return {"model": "linear", "params": {"alpha": str(alpha), "beta": str(beta)}}
+
+    path = tmp_path / "uniform.json"
+    path.write_text(json.dumps({
+        "prior": {"kind": "uniform"},
+        "senders": [linear(*s) for s in senders],
+        "receiver": linear(*receiver),
+    }))
+    return path
 
 
 def run_json(capsys, *args):
@@ -417,6 +431,30 @@ class TestCommands:
         # value in `solve`, not the garbled rows' higher player1_value
         assert (doc["argmax_m0"], doc["argmax_value"]) == (None, "3/10")
 
+    def test_curve_answers_an_extremist_receiver_with_silence(self, capsys, tmp_path):
+        # the receiver's gain m + 1/5 is positive at every mean: no cut moves
+        # her action, so there are no rows, and silence is worth player 1's
+        # value in `solve`
+        path = uniform_config(tmp_path, [(1, "-3/10")], (1, "1/5"))
+        code, doc = run_json(capsys, "curve", "--config", path)
+        assert code == 0
+        assert doc["frame"] == {"flip_action": False, "flip_state": False}
+        assert (doc["argmax_m0"], doc["rows"]) == (None, [])
+        code, solved = run_json(capsys, "solve", "--config", path)
+        assert code == 0
+        assert doc["argmax_value"] == solved["values"][0] == "1/5"
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_refused_chain_exits_one(self, capsys, tmp_path, command):
+        path = uniform_config(tmp_path, [(1, "-8/25"), (-1, "1/5"), (1, "-29/50")],
+                              (1, "-3/10"))
+        assert main([command, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: the pivot places the low mean at 8/25, at or past the receiver's "
+            "indifference mean 3/10; outside the characterized region")
+
     def test_curve_rejects_binary_chains(self, capsys):
         assert main(["curve", "--config", str(ORDERING)]) == 1
         assert "uniform-state" in capsys.readouterr().err
@@ -504,6 +542,19 @@ class TestExitCodes:
         monkeypatch.setitem(cli._COMMANDS, "solve", boom)
         assert main(["solve", "--config", str(ORDERING)]) == 3
         assert "internal error" in capsys.readouterr().err
+
+    def test_empty_level_set_is_an_internal_fault(self, capsys, monkeypatch):
+        # only a broken level recursion empties a level set: not bad input
+        from infochain import cli
+
+        def broken(h, grid):
+            raise EmptyLevelSet("level 2 is empty")
+
+        monkeypatch.setattr(cli, "ic_chain", broken)
+        assert main(["oracle", "--config", str(PARTIAL)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: EmptyLevelSet: level 2 is empty\n"
 
 
 class ClosedPipe(io.StringIO):

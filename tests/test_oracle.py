@@ -587,7 +587,7 @@ class TestIntegerTables:
             [linear_utility(1, F(-8, 25)), linear_utility(-1, F(1, 5)), linear_utility(1, F(-29, 50))],
             linear_utility(1, F(-3, 10)), UNIFORM,
         )
-        sub = oracle._uniform_subgame_tables(h, F(1, 5), F(6, 7))
+        sub, _ = oracle._stand_in(h, F(1, 5), F(6, 7))
         assert sub.prior.p == F(21, 46)
         grid = build_grid(sub.prior, resolution)
         assert len(grid.q0s) + len(grid.q1s) == resolution + 3  # p is off the lattice
@@ -630,7 +630,7 @@ class TestIntegerTables:
         h = hierarchy([conformist_table(F(7, 20)), last], conformist_table(F(3, 10)), P)
         assert F(3, 10) in grid20.q0s
         assert h.receiver.utility.gain_of_action1(F(3, 10)) == 0
-        assert action_rule(h)(F(3, 10)) == oracle.tie_rule(h)(F(3, 10)) == tie
+        assert action_rule(h)(F(3, 10)) == tie
         self.assert_scaled(h, grid20)
 
 
@@ -663,7 +663,7 @@ class TestActionRule:
                           linear_utility(slope, -slope * w), UNIFORM)
         assert h.receiver.utility.gain_of_action1(w) == 0
         act = action_rule(h)
-        assert act(w) == oracle.tie_rule(h)(w) == tie
+        assert act(w) == tie
         points = [w, w - eps, w + eps, w - eps / 3, w + eps / 3, F(0), F(1), F(1, 2),
                   last, F(3, 10), F(1, 10**14)]
         assert all(q.denominator > 10**12 for q in points[:5])
@@ -1130,7 +1130,7 @@ class TestVerifySimple:
         def lattice_verdict(h, m0, m1):
             if not (mpc_feasible_uniform(m0, m1) and m0 < F(1, 2) < m1):
                 return False
-            sub = oracle._uniform_subgame_tables(h, m0, m1)
+            sub, _ = oracle._stand_in(h, m0, m1)
             grid = build_grid(sub.prior, 100)
             return oracle._passed_unchanged(sub, grid, 1, (0, len(grid.q1s) - 1))
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import importlib.util
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,37 @@ def test_cross_check_agrees(capsys):
     cross_check = _load_script("cross_check")
     assert cross_check.main(["--mode", "both", "--games", "3", "--seed", "7"]) == 0
     assert capsys.readouterr().out.startswith("OK (both, 3 games/mode")
+
+
+@pytest.mark.parametrize("family, solver, support", [
+    ("binary", "solve_binary", (Fraction(1, 7), Fraction(6, 7))),
+    ("uniform", "solve_general_uniform", (Fraction(1, 7), Fraction(9, 14))),
+], ids=["binary", "uniform"])
+def test_cross_check_reports_a_wrong_closed_support(capsys, monkeypatch, family, solver, support):
+    # a support off every breakpoint axis, which no oracle answer can hold
+    from infochain import cli
+
+    solve = getattr(cli, solver)
+    monkeypatch.setattr(cli, solver, lambda h: replace(solve(h), support=support))
+    cross_check = _load_script("cross_check")
+    assert cross_check.main(["--mode", family, "--games", "2", "--seed", "7"]) == 1
+    out = capsys.readouterr().out
+    assert f"[{family} 0] closed support {support} not among [" in out
+    assert "MISMATCHES" in out.splitlines()[-1]
+
+
+def test_benchmark_operations_pass_on_the_census():
+    # one operation of each benchmark workload on its census inputs (the
+    # shipped configs), so that a change breaking a call the benchmark makes
+    # into the package fails here
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    inputs = workloads.census_inputs()
+    assert {name for name, _ in inputs} == set(workloads.WORKLOADS)
+    for name, item in inputs:
+        assert workloads.WORKLOADS[name].op(item, workloads.Context()) == workloads.OK, name
 
 
 def test_cross_check_digest_repeats(capsys):
