@@ -124,7 +124,7 @@ def check(family: str, games: int, seed: int) -> int:
         solved += 1
         if support not in found:
             failures += 1
-            print(f"{where} closed support {support} not among {found}\n"
+            print(f"{where} closed support {show_pair(support)} not among {show(found)}\n"
                   f"  hierarchy: {hierarchy_doc(h)}")
         if h.is_binary:
             act = action_rule(h)
@@ -137,7 +137,7 @@ def check(family: str, games: int, seed: int) -> int:
         if not verify_simple_equilibrium(h, report):
             failures += 1
             print(f"{where} pass-through verifier rejects closed support "
-                  f"{report.support}\n  hierarchy: {hierarchy_doc(h)}")
+                  f"{show_pair(report.support)}\n  hierarchy: {hierarchy_doc(h)}")
     if skipped:
         print(f"{family}: skipped {skipped} games outside the characterized region",
               file=sys.stderr)

@@ -348,25 +348,24 @@ def hierarchy(
     classes = [classify_spec(s, prior) for s in sender_specs]
     classes.append(classify_spec(receiver_spec, prior))
     if strict:
-        seen: dict[Fraction, int] = {}
-        for idx, cls in enumerate(classes):
-            if cls.threshold is None:
-                continue
-            if cls.threshold in seen:
-                raise ValidationError(
-                    "thresholds must be pairwise distinct: "
-                    f"agents {seen[cls.threshold]} and {idx} share {cls.threshold}"
-                )
-            seen[cls.threshold] = idx
-        named: dict[str, int] = {}
-        for idx, label in enumerate(h.labels):
-            if label in named:
-                raise ValidationError(
-                    "labels must be pairwise distinct: "
-                    f"agents {named[label]} and {idx} share {label!r}"
-                )
-            named[label] = idx
+        _require_distinct("thresholds", [cls.threshold for cls in classes], str)
+        _require_distinct("labels", h.labels, repr)
     return h
+
+
+def _require_distinct(what: str, values, show: Callable) -> None:
+    """Raise ValidationError naming the first two agents that share a value;
+    None values are skipped."""
+    seen: dict = {}
+    for idx, value in enumerate(values):
+        if value is None:
+            continue
+        if value in seen:
+            raise ValidationError(
+                f"{what} must be pairwise distinct: "
+                f"agents {seen[value]} and {idx} share {show(value)}"
+            )
+        seen[value] = idx
 
 
 def sender_classes(h: HierarchySpec) -> list[AgentClass]:

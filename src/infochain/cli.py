@@ -359,31 +359,46 @@ def _solve_for(h: HierarchySpec):
     return solve_binary(h) if h.is_binary else solve_general_uniform(h)
 
 
+def oracle_answer(h: HierarchySpec):
+    """The oracle's answer on one hierarchy: (found, axes, chain).
+
+    ``axes`` are the game's breakpoints, a binary game's `breakpoint_grid` or
+    a uniform game's `breakpoint_means`, and ``found`` the oracle's supports
+    on them: `solve_spe_grid`'s, or the pairs of `solve_general_grid`.
+    ``chain`` is the binary game's `ic_chain` on the axes, and None for a
+    uniform game.  The closed form never runs here."""
+    if h.is_binary:
+        axes = breakpoint_grid(h)
+        chain = ic_chain(h, axes)
+        return [o.support() for o in solve_spe_grid(h, axes, chain)], axes, chain
+    axes = breakpoint_means(h)
+    return solve_general_grid(h, axes), axes, None
+
+
 def routes(h: HierarchySpec):
     """Both routes on one hierarchy: (closed, support, found, axes).
 
     ``closed`` is the closed form's report, or the `NotCovered` it raised in
     its place.  ``support`` is the closed support as the oracle writes one:
     a silent uniform report's (1/2,) becomes the pair (1/2, 1/2), and a
-    refusal has None.  ``axes`` are the game's breakpoints, a binary game's
-    `breakpoint_grid` or a uniform game's `breakpoint_means`, and ``found``
-    the oracle's supports on them: `solve_spe_grid`'s, or the pairs of
-    `solve_general_grid`.  The two routes agree when ``support`` is among
-    ``found``."""
+    refusal has None.  ``found`` and ``axes`` are `oracle_answer`'s.  The two
+    routes agree when ``support`` is among ``found``."""
     try:
         closed = _solve_for(h)
         support = closed.support
     except NotCovered as e:
         closed, support = e, None
-    if h.is_binary:
-        axes = breakpoint_grid(h)
-        found = [o.support() for o in solve_spe_grid(h, axes)]
-    else:
-        axes = breakpoint_means(h)
-        found = solve_general_grid(h, axes)
-        if support == (HALF,):
-            support = (HALF, HALF)
+    found, axes, _ = oracle_answer(h)
+    if not h.is_binary and support == (HALF,):
+        support = (HALF, HALF)
     return closed, support, found, axes
+
+
+def _axes_doc(h: HierarchySpec, axes) -> dict:
+    """The report fields of `oracle_answer`'s axes."""
+    if h.is_binary:
+        return {"axes": {"q0s": _nums(axes.q0s), "q1s": _nums(axes.q1s)}}
+    return {"means": _nums(axes)}
 
 
 # ---------------------------------------------------------------------------
@@ -427,25 +442,13 @@ def _cmd_solve(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
 
 
 def _cmd_oracle(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
-    if h.is_binary:
-        grid = breakpoint_grid(h)
-        chain = ic_chain(h, grid)
-        sols = solve_spe_grid(h, grid, chain)
+    found, axes, chain = oracle_answer(h)
+    report = {"game": "binary" if h.is_binary else "uniform", **_axes_doc(h, axes),
+              "spe": [_nums(s) for s in found]}
+    if chain is not None:
         # the level sets count their masks and build no outcome
-        report = {
-            "game": "binary",
-            "axes": {"q0s": _nums(grid.q0s), "q1s": _nums(grid.q1s)},
-            "spe": [_nums(o.support()) for o in sols],
-            "pass_levels": {str(k): len(v) for k, v in sorted(chain.levels.items())},
-            "garble_proof_size": len(chain.garble_proof),
-        }
-    else:
-        means = breakpoint_means(h)
-        report = {
-            "game": "uniform",
-            "means": _nums(means),
-            "spe": [_nums(pair) for pair in solve_general_grid(h, means)],
-        }
+        report["pass_levels"] = {str(k): len(v) for k, v in sorted(chain.levels.items())}
+        report["garble_proof_size"] = len(chain.garble_proof)
     return 0, report, {}
 
 
@@ -453,10 +456,8 @@ def _cmd_compare(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
     closed, support, found, axes = routes(h)
     if isinstance(closed, NotCovered):
         raise closed
-    scope = ({"axes": {"q0s": _nums(axes.q0s), "q1s": _nums(axes.q1s)}} if h.is_binary
-             else {"means": _nums(axes)})
     matched = support in found
-    report = {"matched": matched, **scope, "closed_form": _solve_doc(closed),
+    report = {"matched": matched, **_axes_doc(h, axes), "closed_form": _solve_doc(closed),
               "oracle": [_nums(c) for c in found]}
     return (0 if matched else 2), report, {}
 

@@ -15,9 +15,6 @@ from typing import Sequence, Union
 
 NumberLike = Union[int, float, str, Fraction]
 
-#: slack allowed when float-typed experiment rows are checked for stochasticity
-FLOAT_TOL = Fraction(1, 10**12)
-
 HALF = Fraction(1, 2)
 
 
@@ -171,7 +168,7 @@ class Experiment:
                 raise DimensionMismatch("ragged experiment matrix")
             if any(entry < 0 for entry in row):
                 raise OrderViolation("experiment entries must be non-negative")
-            if abs(sum(row) - 1) > FLOAT_TOL:
+            if sum(row) != 1:
                 raise OrderViolation(f"experiment row {row} does not sum to 1")
 
     @property

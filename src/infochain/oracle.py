@@ -111,7 +111,7 @@ class OutcomeGrid:
     @property
     def outcomes(self) -> Outcomes:
         """The outcome of each of ``cells()``, as a fresh `Outcomes` view."""
-        return Outcomes(self)
+        return Outcomes(self, [[True] * len(self.q1s) for _ in self.q0s])
 
     def outcomes_at(self, cells: Sequence[Cell]) -> tuple[BinaryOutcome, ...]:
         """The outcome of each of the given cells, built on every call."""
@@ -132,28 +132,23 @@ class OutcomeGrid:
 
 
 class Outcomes(Sequence[BinaryOutcome]):
-    """The outcomes of the cells of ``grid`` that ``mask`` holds (every cell
-    when there is no mask), one per distinct outcome in ``cells()`` order.
+    """The outcomes of the cells of ``grid`` that ``mask``, a mask over the
+    whole grid, holds, one per distinct outcome in ``cells()`` order.
 
     ``len`` counts the mask, which holds each distinct outcome once outside
     its last row and first column and the silent one at the corner, and
     builds nothing.  The outcomes are built on first iteration or indexing,
     once per view."""
 
-    def __init__(self, grid: OutcomeGrid, mask: Optional[Mask] = None) -> None:
+    def __init__(self, grid: OutcomeGrid, mask: Mask) -> None:
         self.grid, self.mask = grid, mask
 
     def __len__(self) -> int:
-        if self.mask is None:
-            return (len(self.grid.q0s) - 1) * (len(self.grid.q1s) - 1) + 1
         return sum(sum(row) - row[0] for row in self.mask[:-1]) + self.mask[-1][0]
 
     @cached_property
     def _built(self) -> tuple[BinaryOutcome, ...]:
-        cells = self.grid.cells()
-        if self.mask is not None:
-            cells = [(i, j) for i, j in cells if self.mask[i][j]]
-        return self.grid.outcomes_at(cells)
+        return self.grid.outcomes_at([(i, j) for i, j in self.grid.cells() if self.mask[i][j]])
 
     def __getitem__(self, k):
         return self._built[k]
@@ -322,15 +317,13 @@ def _value_table(u: TableUtility, actions: Actions, grid: OutcomeGrid) -> list[l
 
     On `build_grid`'s lattices every informative cell has lattice endpoints,
     so its width is k/G (cells with p as a coordinate are silent) and L is at
-    most (d/G) * lcm(1..G).  lcm(1..G) has 136 bits at G = 100 and 1438 bits
-    at G = 1000; on games with hundredths for payoffs
-    and prior, L reaches about 144 and 1443 bits.  On a `breakpoint_grid`
-    of a chain with n senders and e extra points each axis holds at most
-    n + 3 + e coordinates (0, p, 1, the n + 1 indifference beliefs and the
-    extra points), so at most (n + 2 + e)^2 widths occur, each a positive
-    integer at most d, and L <= d^((n+2+e)^2).
-    On the seed-3003 uniform draws at G = 200 no stand-in entry exceeds 65
-    bits.
+    most (d/G) * lcm(1..G).  lcm(1..G) has 136 bits at G = 100; on games with
+    hundredths for payoffs and prior, L reaches about 144 bits.  On a
+    `breakpoint_grid` of a chain with n senders and e extra points each axis
+    holds at most n + 3 + e coordinates (0, p, 1, the n + 1 indifference
+    beliefs and the extra points), so at most (n + 2 + e)^2 widths occur,
+    each a positive integer at most d, and L <= d^((n+2+e)^2).  On the
+    seed-3003 uniform draws at G = 200 no stand-in entry exceeds 65 bits.
     """
     p = grid.prior.p
     lows, highs = actions
@@ -446,10 +439,10 @@ class IcChain:
     stricter set no intermediary would garble *regardless* of what later
     players tolerate — a strict subset in general, which is exactly why the
     recursion matters.  Both are `Outcomes` views, in the grid's ``cells()``
-    order, of ``masks`` and ``proof_mask``: the masks over the whole grid,
-    expanded from the core's on first read.  ``proof_mask`` is itself built
-    on first read, from a fresh value table of each of seats n..2 of ``h``
-    on the core: the equilibrium and the verifier never read it, so a chain
+    order, whose ``mask`` is the set's mask over the whole grid, expanded
+    from the core's on first read.  ``garble_proof`` is itself built on
+    first read, from a fresh value table of each of seats n..2 of ``h`` on
+    the core: the equilibrium and the verifier never read it, so a chain
     that is only solved pays for the levels alone.  ``core_masks`` are the
     level masks over ``core``, ``actions`` is `_receiver_actions` of the
     core, decided once per chain, and ``expand`` is `_core`'s expansion.
@@ -463,15 +456,12 @@ class IcChain:
     expand: Callable[[Mask], Mask]
 
     @cached_property
-    def masks(self) -> dict[int, Mask]:
-        return {idx: self.expand(mask) for idx, mask in self.core_masks.items()}
-
-    @cached_property
     def levels(self) -> dict[int, Outcomes]:
-        return {idx: Outcomes(self.grid, mask) for idx, mask in self.masks.items()}
+        return {idx: Outcomes(self.grid, self.expand(mask))
+                for idx, mask in self.core_masks.items()}
 
     @cached_property
-    def proof_mask(self) -> Mask:
+    def garble_proof(self) -> Outcomes:
         """The garble-proof cells: no intermediary strictly favours any
         contraction, credible or not, over the cell itself."""
         proof = [[True] * len(self.core.q1s) for _ in self.core.q0s]
@@ -481,11 +471,7 @@ class IcChain:
                 [ok and v == c for v, ok, c in zip(*rows)]
                 for rows in zip(table, proof, _cone_max(table))
             ]
-        return self.expand(proof)
-
-    @cached_property
-    def garble_proof(self) -> Outcomes:
-        return Outcomes(self.grid, self.proof_mask)
+        return Outcomes(self.grid, self.expand(proof))
 
 
 def _cone_max(table: list[list[int]]) -> list[list[int]]:
@@ -686,9 +672,10 @@ def verify_simple_equilibrium(
     raw outcome.  ``grid`` is a grid or a resolution; when it is omitted, a
     binary outcome is checked on `breakpoint_grid` with its own posteriors
     added, which gives its cell the continuum's verdict.  For uniform-state
-    hierarchies the scan runs in the induced subgame on the stand-in's
-    breakpoint grid (`_stand_in`), whatever the grid; a resolution below 10
-    is still refused.
+    hierarchies a support no cut induces fails, one with a mean at 1/2 is
+    silence and passes, and any other is scanned in the induced subgame on
+    the stand-in's breakpoint grid (`_stand_in`), whatever the grid; a
+    resolution below 10 is still refused.
     """
     if isinstance(grid, int):
         _check_resolution(grid)
@@ -720,13 +707,11 @@ def verify_simple_equilibrium(
         return cell is not None and _passed_unchanged(h, grid, 2, cell)
 
     # uniform-state game: outcome is a pair of means (or a degenerate mean)
-    if len(support) == 1 or support[0] == support[-1]:
-        return True  # nothing to garble
     m0, m1 = support[0], support[-1]
     if not mpc_feasible_uniform(m0, m1):
         return False
-    if not (m0 < HALF < m1):
-        return False
+    if HALF in (m0, m1):
+        return True  # all weight on 1/2: silence, which no one can garble
     sub, sub_grid = _stand_in(h, m0, m1)
     # full information is cell (0, len(q1s) - 1); scan every intermediary of
     # the original chain (all senders of the stand-in); the cut itself is

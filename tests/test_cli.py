@@ -200,6 +200,29 @@ class TestCommands:
         assert doc["pivotal"]["e_star"] == 2
         assert doc["relabeling"] == {"flip_action": False, "flip_state": False}
 
+    def test_classify_uniform_renders_the_general_fields(self, capsys):
+        code, doc = run_json(capsys, "classify", "--config", INTERIOR)
+        assert code == 0
+        piv = doc["pivotal"]
+        assert (piv["p_pivot"], piv["p_threshold"]) == (2, "1/5")
+        assert (piv["b_star_threshold"], piv["b_star_after_p_threshold"]) == ("29/50", "29/50")
+        assert (piv["d_dstar_threshold"], piv["d_star_general"]) == ("0", "0")
+
+    def test_classify_notes_an_extremist_receiver(self, capsys, tmp_path):
+        path = uniform_config(tmp_path, [(1, F(-3, 10))], (1, F(1, 5)))
+        code, doc = run_json(capsys, "classify", "--config", path)
+        assert code == 0
+        assert doc["relabeling"] is None and doc["pivotal"] is None
+        assert doc["note"] == "the receiver never responds to information"
+
+    def test_classify_notes_a_chain_without_a_conformist(self, capsys, tmp_path):
+        path = uniform_config(tmp_path, [(-1, F(1, 5))], (1, F(-3, 10)))
+        code, doc = run_json(capsys, "classify", "--config", path)
+        assert code == 0
+        assert doc["relabeling"] == {"flip_action": False, "flip_state": False}
+        assert doc["pivotal"] is None
+        assert doc["note"] == "no player wants to match the state on any interior mean"
+
     def test_solve_binary(self, capsys):
         code, doc = run_json(capsys, "solve", "--config", ORDERING)
         assert code == 0

@@ -121,6 +121,9 @@ class TestExperiments:
     def test_row_sum_validated(self):
         with pytest.raises(Exception):
             experiment([[F(1, 2), F(1, 3)], [F(1, 2), F(1, 2)]])
+        # exact rows get no slack: 10^-13 off is off
+        with pytest.raises(OrderViolation, match="does not sum to 1"):
+            experiment([[F(1, 2), F(1, 2) + F(1, 10**13)], [F(1, 3), F(2, 3)]])
 
 
 class TestUniformFeasibility:

@@ -271,7 +271,7 @@ class TestLevelSets:
         # n..2; the garble-proof set builds its own, and only when read
         senders = [conformist_table(F(k, 20)) for k in (3, 5, 7, 9)[:n]]
         h = hierarchy(senders, conformist_table(F(2, 5)), P)
-        want = ic_chain(h, grid20).proof_mask
+        want = ic_chain(h, grid20).garble_proof.mask
         calls = []
 
         def counting(name):
@@ -288,7 +288,7 @@ class TestLevelSets:
         ch = ic_chain(h, grid20)
         assert len(ch.levels) == n - 1
         assert (calls.count("_value_table"), calls.count("_cone_max")) == (n - 1, n - 1)
-        assert ch.proof_mask == want
+        assert ch.garble_proof.mask == want
         assert (calls.count("_value_table"), calls.count("_cone_max")) == (2 * n - 2, 2 * n - 2)
 
 
@@ -490,8 +490,8 @@ class TestInformativeCore:
             ni, nj = len(chain.core.q0s), len(chain.core.q1s)
             shapes.add("constant" if ni == 1 else "rows" if ni < len(grid.q0s)
                        else "columns" if nj < len(grid.q1s) else "whole")
-            assert chain.masks == masks, h
-            assert chain.proof_mask == proof, h
+            assert {k: level.mask for k, level in chain.levels.items()} == masks, h
+            assert chain.garble_proof.mask == proof, h
             assert solve_spe_grid(h, grid, chain) == spe, h
             for i in range(len(grid.q0s)):
                 for j in range(len(grid.q1s)):
@@ -518,7 +518,7 @@ class TestInformativeCore:
             smaller += shape != (len(grid.q0s), len(grid.q1s))
             monkeypatch.setattr(oracle, "_value_table", counted)
             chain = ic_chain(h, grid)
-            chain.proof_mask
+            chain.garble_proof.mask
             solve_spe_grid(h, grid, chain)
             monkeypatch.undo()
             assert sizes == [shape] * (2 * h.n - 1), h
@@ -1087,10 +1087,10 @@ class TestVerifySimple:
             lone += h.n == 1
             for resolution in (20, 30):
                 grid = build_grid(h.prior, resolution)
-                masks = ic_chain(h, grid).masks
+                levels = ic_chain(h, grid).levels
                 for i in range(len(grid.q0s)):
                     for j in range(len(grid.q1s)):
-                        want = masks[2][i][j] if h.n > 1 else True
+                        want = levels[2].mask[i][j] if h.n > 1 else True
                         assert oracle._passed_unchanged(h, grid, 2, (i, j)) == want, (h, i, j)
                         verdicts.add(want)
         assert lone and verdicts == {True, False}
@@ -1173,12 +1173,35 @@ class TestVerifySimple:
         )
         assert not verify_simple_equilibrium(h, (F(1, 10), F(9, 10)), 100)
 
+    def test_uniform_degenerate_supports(self):
+        # no experiment induces a lone mean other than 1/2; a pair with a
+        # mean at 1/2 puts all its weight there, which is silence
+        h = hierarchy(
+            [linear_utility(1, F(-8, 25)), linear_utility(1, F(-1, 5)), linear_utility(1, F(-29, 50))],
+            linear_utility(1, F(-3, 10)), UNIFORM,
+        )
+        assert not verify_simple_equilibrium(h, (F(3, 10),))
+        assert verify_simple_equilibrium(h, (F(1, 2), F(3, 4)))
+        assert verify_simple_equilibrium(h, (F(1, 4), F(1, 2)))
+        assert verify_simple_equilibrium(h, (F(1, 2),))
+
 
 class TestMonteCarlo:
     def test_seed_mandatory(self):
         h = hierarchy([conformist_table(F(1, 4))], conformist_table(F(2, 5)), P)
         with pytest.raises(SeedRequired):
             monte_carlo(h, [identity_experiment()], 100)
+
+    def test_malformed_profiles_are_refused(self):
+        binary = hierarchy([conformist_table(F(1, 4))], conformist_table(F(2, 5)), P)
+        uniform = hierarchy([linear_utility(1, F(-8, 25)), linear_utility(1, F(-1, 5))],
+                            linear_utility(1, F(-3, 10)), UNIFORM)
+        with pytest.raises(ChainError, match="one experiment per sender"):
+            monte_carlo(binary, [identity_experiment(), identity_experiment()], 100, seed=1)
+        with pytest.raises(ChainError, match="IntervalCut"):
+            monte_carlo(uniform, [identity_experiment(), identity_experiment()], 100, seed=1)
+        with pytest.raises(ChainError, match="2x2 Experiment"):
+            monte_carlo(uniform, [IntervalCut(F(8, 25)), IntervalCut(F(1, 2))], 100, seed=1)
 
     def test_no_information_baseline(self):
         h = hierarchy(

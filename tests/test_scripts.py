@@ -19,11 +19,13 @@ def test_cross_check_agrees(capsys):
     assert capsys.readouterr().out.startswith("OK (both, 3 games/mode")
 
 
-@pytest.mark.parametrize("family, solver, support", [
-    ("binary", "solve_binary", (Fraction(1, 7), Fraction(6, 7))),
-    ("uniform", "solve_general_uniform", (Fraction(1, 7), Fraction(9, 14))),
+@pytest.mark.parametrize("family, solver, support, shown", [
+    ("binary", "solve_binary", (Fraction(1, 7), Fraction(6, 7)), "(1/7, 6/7)"),
+    ("uniform", "solve_general_uniform", (Fraction(1, 7), Fraction(9, 14)), "(1/7, 9/14)"),
 ], ids=["binary", "uniform"])
-def test_cross_check_reports_a_wrong_closed_support(capsys, monkeypatch, family, solver, support):
+def test_cross_check_reports_a_wrong_closed_support(
+    capsys, monkeypatch, family, solver, support, shown
+):
     # a support off every breakpoint axis, which no oracle answer can hold
     from infochain import cli
 
@@ -32,22 +34,45 @@ def test_cross_check_reports_a_wrong_closed_support(capsys, monkeypatch, family,
     cross_check = _load_script("cross_check")
     assert cross_check.main(["--mode", family, "--games", "2", "--seed", "7"]) == 1
     out = capsys.readouterr().out
-    assert f"[{family} 0] closed support {support} not among [" in out
+    assert f"[{family} 0] closed support {shown} not among [" in out
     assert "MISMATCHES" in out.splitlines()[-1]
+
+
+def _load_perfbench(name: str):
+    """Load ``perfbench/<name>.py`` by path."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_operations_pass_on_the_census():
     # one operation of each benchmark workload on its census inputs (the
     # shipped configs), so that a change breaking a call the benchmark makes
     # into the package fails here
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _load_perfbench("workloads")
     inputs = workloads.census_inputs()
     assert {name for name, _ in inputs} == set(workloads.WORKLOADS)
     for name, item in inputs:
         assert workloads.WORKLOADS[name].op(item, workloads.Context()) == workloads.OK, name
+
+
+def test_benchmark_census_passes_traced():
+    # the same operations as a traced run makes them: every timed call is
+    # wrapped in a span, and each span named in spans.WORK counts its work
+    # from the call's result, so a change breaking what a counter reads
+    # (grid.outcomes, chain.levels) fails here and not only under --trace
+    spans, workloads = _load_perfbench("spans"), _load_perfbench("workloads")
+    tracer = spans.Tracer()
+    with spans.patched(tracer):
+        for name, item in workloads.census_inputs():
+            ctx = workloads.Context(tracer)
+            assert workloads.WORKLOADS[name].op(item, ctx) == workloads.OK, name
+    assert [s for s in tracer.spans if s[spans.ERROR] is not None] == []
+    counted = [s for s in tracer.spans if s[spans.NAME] in spans.WORK]
+    assert {s[spans.NAME] for s in counted} == set(spans.WORK)
+    assert all(s[spans.WORK_DONE] is not None for s in counted)
 
 
 def test_cross_check_digest_repeats(capsys):
