@@ -92,7 +92,6 @@ from .oracle import (
     IntervalCut,
     McReport,
     OutcomeGrid,
-    ResolutionTooCoarse,
     SeedRequired,
     blackwell_maximal,
     breakpoint_grid,

@@ -28,6 +28,7 @@ from .agents import (
     HierarchySpec,
     LinearUtility,
     Relabeling,
+    Utility,
     conformist_table,
     hierarchy,
     relabel_utility,
@@ -79,8 +80,30 @@ def _append(h: HierarchySpec, specs: tuple[AgentSpec, ...]) -> HierarchySpec:
     return hierarchy([*h.senders, *specs], h.receiver, h.prior, strict=False)
 
 
-def _gain(after: Report, before: Report) -> Fraction:
-    return after.values[-1] - before.values[-1]
+def _appointee(canonical: Utility, rel: Relabeling) -> AgentSpec:
+    """The appointee whose utility is ``canonical`` in the chain's canonical
+    frame, written in the chain's own labels."""
+    return AgentSpec(
+        utility=relabel_utility(canonical, rel.flip_action, rel.flip_state),
+        label="vp",
+    )
+
+
+def _close(
+    before: Report,
+    after: Report,
+    specs: tuple[AgentSpec, ...],
+    rule: str,
+    interval: Optional[tuple[Fraction, Fraction]] = None,
+    monotonicity: Optional[str] = None,
+) -> VpRecommendation:
+    """The recommendation verified by the re-solve ``after``; NoImprovement
+    unless it strictly raises the receiver's expected utility."""
+    gain = after.values[-1] - before.values[-1]
+    if gain <= 0:
+        whom = "an appointee" if len(specs) == 1 else "appointees"
+        raise NoImprovement(f"appending {whom} cannot raise the receiver's value here")
+    return VpRecommendation(specs, rule, before, after, gain, interval, monotonicity)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +119,9 @@ def optimal_vp_binary(
     the strongest surviving blocker and the pivotal conformist; the receiver's
     gain grows as the appointee's threshold approaches the blocker end, which
     is never attained.  ``delta`` picks the recommended point as a fraction of
-    the interval measured from the blocker end.
+    the interval measured from the blocker end.  The interval is never empty:
+    `pivotal_rule` puts the blocker end strictly below the pivot's threshold,
+    or at 0.
 
     Raises NoImprovement when the chain already attains the receiver's
     supremum (full revelation) or when its silence is structural (an opposed
@@ -111,29 +136,9 @@ def optimal_vp_binary(
         raise NoImprovement("the receiver ignores information; nothing to gain")
     lo = before.pivotal.d_star_threshold
     hi = before.pivotal.a_star_threshold
-    if not lo < hi:
-        raise NoImprovement("no threshold gap to place an appointee in")
-    t = lo + delta * (hi - lo)
-    rel = before.relabeling
-    vp = AgentSpec(
-        utility=relabel_utility(conformist_table(t), rel.flip_action, rel.flip_state),
-        label="vp",
-    )
+    vp = _appointee(conformist_table(lo + delta * (hi - lo)), before.relabeling)
     after = solve_binary(_append(h, (vp,)))
-    gain = _gain(after, before)
-    if gain <= 0:
-        raise NoImprovement(
-            "appending an appointee cannot raise the receiver's value here"
-        )
-    return VpRecommendation(
-        specs=(vp,),
-        rule_fired=RULE_BRIDGE,
-        before=before,
-        after=after,
-        receiver_gain=gain,
-        interval=(lo, hi),
-        monotonicity=GAIN_INCREASES_WITH_BIAS,
-    )
+    return _close(before, after, (vp,), RULE_BRIDGE, (lo, hi), GAIN_INCREASES_WITH_BIAS)
 
 
 # ---------------------------------------------------------------------------
@@ -144,29 +149,28 @@ def _canonical_low_mean(report: GeneralEquilibriumReport) -> Fraction:
     return min(report.relabeling.support_back(report.support))
 
 
-def _materialize_linear(t: Fraction, rel: Relabeling) -> AgentSpec:
-    canonical = LinearUtility(Fraction(1), -t)
-    return AgentSpec(
-        utility=relabel_utility(canonical, rel.flip_action, rel.flip_state),
-        label="vp",
-    )
-
-
 def _general_templates(
-    h: HierarchySpec, before: GeneralEquilibriumReport
-) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Canonical ingredients for appointments: (receiver crossing, pivot
-    crossing, single-appointee toward-1 crossing, toward-0 crossing).  A
-    state flip reflects the receiver's crossing through 1/2; an action flip
-    keeps it."""
+    h: HierarchySpec,
+) -> tuple[GeneralEquilibriumReport, Fraction, Fraction, Fraction, Fraction]:
+    """The incumbent chain's report and the canonical ingredients for
+    appointments: (receiver crossing, pivot crossing, single-appointee
+    toward-1 crossing, toward-0 crossing).  A state flip reflects the
+    receiver's crossing through 1/2; an action flip keeps it.
+
+    Raises NoImprovement when the incumbent is silent with no conformist
+    anywhere: an opposed intermediary is already in place and an appointee
+    cannot unseat it."""
+    before = solve_general_uniform(h)
+    piv = before.pivotal
+    if piv is None:
+        raise NoImprovement("structurally opposed chain; appending cannot help")
     w_r = h.receiver.utility.crossing
     if before.relabeling.flip_state:
         w_r = 1 - w_r
-    piv = before.pivotal
     w_p = piv.p_threshold
     toward1 = min(w_p, max(w_r / 2, piv.d_dstar_threshold))
     toward0 = min(w_r / 2, w_p) + HALF
-    return w_r, w_p, toward1, toward0
+    return before, w_r, w_p, toward1, toward0
 
 
 def optimal_vp_general(h: HierarchySpec) -> VpRecommendation:
@@ -179,27 +183,15 @@ def optimal_vp_general(h: HierarchySpec) -> VpRecommendation:
     cell and pushes the cut up (rule "anchor-high-cell").  Verified by
     re-solving; structural silence raises NoImprovement.
     """
-    before = solve_general_uniform(h)
-    if before.pivotal is None:
-        # silence with no conformist anywhere: an opposed intermediary is
-        # already in place and an appointee cannot unseat it
-        raise NoImprovement("structurally opposed chain; appending cannot help")
-    w_r, w_p, toward1, toward0 = _general_templates(h, before)
+    before, w_r, w_p, toward1, toward0 = _general_templates(h)
     m0 = _canonical_low_mean(before)
     if m0 > w_r / 2 or m0 == w_p:
         rule, t = RULE_TIGHTEN, toward1
     else:
         rule, t = RULE_ANCHOR, toward0
-    vp = _materialize_linear(t, before.relabeling)
+    vp = _appointee(LinearUtility(Fraction(1), -t), before.relabeling)
     after = solve_general_uniform(_append(h, (vp,)))
-    gain = _gain(after, before)
-    if gain <= 0:
-        raise NoImprovement(
-            "appending an appointee cannot raise the receiver's value here"
-        )
-    return VpRecommendation(
-        specs=(vp,), rule_fired=rule, before=before, after=after, receiver_gain=gain
-    )
+    return _close(before, after, (vp,), rule)
 
 
 def optimal_two_vps(h: HierarchySpec) -> VpRecommendation:
@@ -211,16 +203,12 @@ def optimal_two_vps(h: HierarchySpec) -> VpRecommendation:
     confirms that the two may be appended in either order and that a third
     copy of either template buys nothing further.
     """
-    before = solve_general_uniform(h)
-    if before.pivotal is None:
-        raise NoImprovement("structurally opposed chain; appending cannot help")
-    w_r, w_p, _, toward0 = _general_templates(h, before)
+    before, w_r, w_p, _, toward0 = _general_templates(h)
     # the downward cap folds in a contrarian first mover: pushing the cut
     # below her own crossing would leave her preferring the cap itself
     toward1 = min(w_p, max(w_r / 2, before.pivotal.d_star_general))
-    rel = before.relabeling
-    vp_down = _materialize_linear(toward1, rel)
-    vp_up = _materialize_linear(toward0, rel)
+    vp_down = _appointee(LinearUtility(Fraction(1), -toward1), before.relabeling)
+    vp_up = _appointee(LinearUtility(Fraction(1), -toward0), before.relabeling)
     after = solve_general_uniform(_append(h, (vp_down, vp_up)))
     swapped = solve_general_uniform(_append(h, (vp_up, vp_down)))
     if after.support != swapped.support:
@@ -232,15 +220,4 @@ def optimal_two_vps(h: HierarchySpec) -> VpRecommendation:
         third = solve_general_uniform(_append(h, (vp_down, vp_up, extra)))
         if third.values[-1] != after.values[-1]:
             raise ChainError("a third appointee changed the receiver's value")
-    gain = _gain(after, before)
-    if gain <= 0:
-        raise NoImprovement(
-            "appending appointees cannot raise the receiver's value here"
-        )
-    return VpRecommendation(
-        specs=(vp_down, vp_up),
-        rule_fired=RULE_PIN,
-        before=before,
-        after=after,
-        receiver_gain=gain,
-    )
+    return _close(before, after, (vp_down, vp_up), RULE_PIN)

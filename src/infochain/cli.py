@@ -132,6 +132,8 @@ class RunConfig:
         if self.command == "simulate":
             if self.seed is None:
                 raise SeedRequired("simulate needs --seed; runs must be reproducible")
+            if self.seed < 0:
+                raise ValidationError(f"seed must be non-negative, got {self.seed}")
             if self.trials < 2:
                 raise ValidationError(
                     f"trials must be at least 2 for a standard error, got {self.trials}"
@@ -224,8 +226,6 @@ def hierarchy_from_doc(doc: Any) -> HierarchySpec:
     receiver = _agent_from_doc(doc.get("receiver"), "receiver")
     try:
         return hierarchy(senders, receiver, prior)
-    except ValidationError:
-        raise
     except (ThresholdCollision, DegenerateAgent) as e:
         # surface footnote-assumption breaches uniformly as validation errors
         raise ValidationError(str(e)) from e
@@ -655,16 +655,23 @@ def run(config: RunConfig) -> int:
         code, report, files = _COMMANDS[config.command](h, config)
         report = {"command": config.command, **report, "hierarchy": hierarchy_doc(h)}
         rendered = json.dumps(report, indent=2, allow_nan=False)
+        if config.out_dir is not None:
+            # written before anything is printed, so an unusable directory
+            # leaves stdout empty
+            try:
+                config.out_dir.mkdir(parents=True, exist_ok=True)
+                (config.out_dir / f"{config.command}.json").write_text(rendered + "\n")
+                for name, text in files.items():
+                    (config.out_dir / name).write_text(text)
+            except OSError as e:
+                print(f"error: cannot write to {config.out_dir}: {e.strerror or e}",
+                      file=sys.stderr)
+                return 1
         if config.fmt == "csv":
             # tabular commands print their natural table; the rest flatten
             _emit(files.get(f"{config.command}.csv") or _csv_view(report))
         else:
             _emit(rendered + "\n")
-        if config.out_dir is not None:
-            config.out_dir.mkdir(parents=True, exist_ok=True)
-            (config.out_dir / f"{config.command}.json").write_text(rendered + "\n")
-            for name, text in files.items():
-                (config.out_dir / name).write_text(text)
     except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -53,10 +53,6 @@ from .core import (
 from .agents import HierarchySpec, LinearUtility, TableUtility, Utility
 
 
-class ResolutionTooCoarse(ChainError):
-    """Grid step too large for the requested computation."""
-
-
 class SeedRequired(ChainError):
     """Monte Carlo runs must be reproducible; pass an explicit seed."""
 
@@ -69,11 +65,6 @@ class EmptyLevelSet(ChainError):
 # ---------------------------------------------------------------------------
 # outcome grid
 # ---------------------------------------------------------------------------
-
-def _check_resolution(resolution: int) -> None:
-    if resolution < 10:
-        raise ResolutionTooCoarse(f"need at least 10 grid steps, got {resolution}")
-
 
 def _axes(p: Fraction, points: Iterable[Fraction]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """The distinct points at or below p and at or above p, each ascending,
@@ -159,7 +150,6 @@ class Outcomes(Sequence[BinaryOutcome]):
 
 def build_grid(prior: BinaryPrior, resolution: int) -> OutcomeGrid:
     """The grid whose axes are the lattice k/resolution and the prior."""
-    _check_resolution(resolution)
     lattice = (Fraction(k, resolution) for k in range(resolution + 1))
     return OutcomeGrid(prior, *_axes(prior.p, lattice))
 
@@ -662,23 +652,20 @@ def _stand_in(h: HierarchySpec, m0: Fraction, m1: Fraction) -> tuple[HierarchySp
 def verify_simple_equilibrium(
     h: HierarchySpec,
     eq,
-    grid: Union[OutcomeGrid, int, None] = None,
+    grid: Optional[OutcomeGrid] = None,
 ) -> bool:
     """Check that an equilibrium outcome really is a pass-through equilibrium:
     player 1 can realize it alone, and no intermediary would garble it given
     grid best responses downstream.
 
     ``eq`` may be a solver report (anything with .outcome or .support) or a
-    raw outcome.  ``grid`` is a grid or a resolution; when it is omitted, a
+    raw outcome.  ``grid`` is a binary game's grid; when it is omitted, a
     binary outcome is checked on `breakpoint_grid` with its own posteriors
     added, which gives its cell the continuum's verdict.  For uniform-state
     hierarchies a support no cut induces fails, one with a mean at 1/2 is
     silence and passes, and any other is scanned in the induced subgame on
-    the stand-in's breakpoint grid (`_stand_in`), whatever the grid; a
-    resolution below 10 is still refused.
+    the stand-in's breakpoint grid (`_stand_in`), whatever ``grid`` is.
     """
-    if isinstance(grid, int):
-        _check_resolution(grid)
     outcome = getattr(eq, "outcome", eq)
     if isinstance(outcome, BinaryOutcome):
         support = outcome.support()
@@ -689,8 +676,6 @@ def verify_simple_equilibrium(
             outcome = make_outcome(support[0], support[-1], h.prior)
         if grid is None:
             grid = breakpoint_grid(h, outcome.q0, outcome.q1)
-        elif isinstance(grid, int):
-            grid = build_grid(h.prior, grid)
         if outcome.p != grid.prior.p:
             return False
         # (i) the outcome is realizable as player 1's experiment (identity
@@ -843,8 +828,8 @@ def solve_general_grid(
     """Exhaustive search over player 1's mean pairs on one axis, each
     answered by the induced subgame; returns the Blackwell-maximal argmax
     supports (a degenerate result is reported as (1/2, 1/2)).  ``means`` is
-    an int G, for the lattice k/G (the dense reference; G below 10 is
-    refused), or a sorted axis of means in [0, 1] such as
+    an int G, for the lattice k/G (the dense reference), or a sorted axis
+    of means in [0, 1] such as
     ``breakpoint_means(h)``, on which the answer is the continuum's.
 
     The subgame is answered once per *order type*, not once per pair.  Let
@@ -943,7 +928,6 @@ def solve_general_grid(
     crossings = tuple(a.utility.crossing for a in (*h.senders[1:], h.receiver))
     # every mean m below is the int scale * m
     if isinstance(means, int):
-        _check_resolution(means)
         scale = lcm(2, means, *(w.denominator for w in crossings))
         xs: Sequence[int] = range(0, scale + 1, scale // means)
     else:

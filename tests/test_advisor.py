@@ -35,6 +35,7 @@ from infochain.advisor import (
 )
 from infochain.binary_solver import EquilibriumKind
 from infochain.general_solver import GeneralKind
+from test_acceptance import _load_script
 
 P = BinaryPrior(F(3, 5))
 U = UniformPrior()
@@ -276,6 +277,26 @@ class TestTwoAppointments:
 
 
 class TestRandomizedInvariants:
+    def test_binary_gap_is_never_empty(self):
+        # pivotal_rule puts the blocker end strictly below the pivot's
+        # threshold, or at 0, so optimal_vp_binary's interval is never empty
+        draw = _load_script("cross_check").random_binary_game
+        rng = random.Random(1001)
+        pivotal = recommended = 0
+        for _ in range(500):
+            h = draw(rng)
+            reports = [solve_binary(h)]
+            try:
+                reports.append(optimal_vp_binary(h).after)
+                recommended += 1
+            except NoImprovement:
+                pass
+            for report in reports:
+                if report.pivotal is not None:
+                    pivotal += 1
+                    assert report.pivotal.d_star_threshold < report.pivotal.a_star_threshold
+        assert (pivotal, recommended) == (564, 64)
+
     def test_binary_appointments(self):
         rng = random.Random(20260823)
         grid = [F(k, 100) for k in range(1, 100)]

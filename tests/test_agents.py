@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from infochain import (
+    AgentClass,
     AgentSpec,
     BinaryPrior,
     DegenerateAgent,
@@ -128,6 +129,11 @@ class TestReclassify:
         c = classify_linear(linear_utility(1, F(-1, 5)))
         r = reclassify_under_support(c, F(1, 5), F(7, 10))
         assert (r.kind, r.threshold) == (Kind.CONFORMIST, F(0))
+
+    @pytest.mark.parametrize("kind", [Kind.ZERO_EXTREMIST, Kind.ONE_EXTREMIST])
+    def test_extremist_is_unchanged(self, kind):
+        c = AgentClass(kind=kind)
+        assert reclassify_under_support(c, F(1, 10), F(3, 5)) is c
 
 
 class TestHierarchy:

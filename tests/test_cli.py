@@ -110,7 +110,7 @@ class TestIngest:
             ingest(path)
         assert err.value.line == 2
 
-    def test_schema_errors_name_the_field(self, tmp_path):
+    def test_schema_errors_name_the_field(self, capsys, tmp_path):
         base = json.loads(SILENT.read_text())
         for mutate, field in [
             (lambda d: d["senders"][0].pop("model"), "senders[0].model"),
@@ -118,6 +118,12 @@ class TestIngest:
             (lambda d: d["receiver"]["params"].update(alpha="x/y"), "receiver.params.alpha"),
             (lambda d: d.update(prior={"kind": "gaussian"}), "prior.kind"),
             (lambda d: d.update(senders=[]), "senders"),
+            (lambda d: d.pop("prior"), "prior"),
+            (lambda d: d.update(prior={"kind": "binary", "p": [1]}), "prior.p"),
+            (lambda d: d.update(prior={"kind": "binary", "p": None}), "prior.p"),
+            (lambda d: d["senders"].__setitem__(0, 3), "senders[0]"),
+            (lambda d: d["senders"][0].pop("params"), "senders[0].params"),
+            (lambda d: d["senders"][0].update(label=7), "senders[0].label"),
         ]:
             doc = json.loads(json.dumps(base))
             mutate(doc)
@@ -126,6 +132,11 @@ class TestIngest:
             with pytest.raises(ParseError) as err:
                 ingest(path)
             assert err.value.field == field
+            assert main(["solve", "--config", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {err.value}\n"
+            assert captured.err.endswith(f" (field {field!r})\n")
 
     @pytest.mark.parametrize("number", [
         '"1e-5000"', '"1e-10000000"', '"0.' + "1" * 200 + '"', "1" + "0" * 4999,
@@ -142,19 +153,23 @@ class TestIngest:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and len(captured.err) < 300
 
-    @pytest.mark.parametrize("content", [
-        b"\xff\xfe" + '{"prior": {"kind": "uniform"}}'.encode("utf-16-le"),
-        b"[" * 10_000 + b"]" * 10_000,
-    ], ids=["not_utf8", "deep_nesting"])
-    def test_unreadable_documents_exit_one(self, capsys, tmp_path, content):
+    @pytest.mark.parametrize("content, reason", [
+        (b"\xff\xfe" + '{"prior": {"kind": "uniform"}}'.encode("utf-16-le"), "is not UTF-8"),
+        (b"[" * 10_000 + b"]" * 10_000, "JSON nested too deeply"),
+        (b"[]", "top level must be an object (field '$')"),
+        (None, ": No such file or directory"),
+    ], ids=["not_utf8", "deep_nesting", "top_level_array", "missing"])
+    def test_unreadable_documents_exit_one(self, capsys, tmp_path, content, reason):
         path = tmp_path / "odd.json"
-        path.write_bytes(content)
+        if content is not None:
+            path.write_bytes(content)
         with pytest.raises(ParseError):
             ingest(path)
         assert main(["solve", "--config", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and len(captured.err) < 300
+        assert reason in captured.err
 
     @pytest.mark.parametrize("fixture", ["binary_ordering", "binary_partial",
                                          "uniform_interior", "uniform_silent"])
@@ -526,9 +541,24 @@ class TestExitCodes:
         assert main(["vp", "--config", str(ORDERING), "--delta", "1e-5000"]) == 1
         assert main(["simulate", "--config", str(PARTIAL), "--seed", "1",
                      "--trials", "1"]) == 1
+        assert main(["simulate", "--config", str(PARTIAL), "--seed", "-1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments: --bogus" in captured.err
+        assert captured.err.endswith("error: seed must be non-negative, got -1\n")
+
+    @pytest.mark.parametrize("below, reason", [
+        ("", "File exists"),
+        ("sub", "Not a directory"),
+    ], ids=["file", "under_a_file"])
+    def test_unusable_out_dir_exits_one_before_printing(self, capsys, tmp_path, below, reason):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / below if below else taken
+        assert main(["solve", "--config", str(PARTIAL), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write to {out}: {reason}\n"
 
     @pytest.mark.parametrize("p", ["0", "1", "2"])
     def test_binary_prior_outside_the_open_interval_exits_one(self, capsys, tmp_path, p):

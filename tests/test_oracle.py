@@ -26,7 +26,6 @@ from infochain import (
     IntervalCut,
     NotCovered,
     OutcomeGrid,
-    ResolutionTooCoarse,
     SeedRequired,
     TableUtility,
     UniformPrior,
@@ -117,10 +116,6 @@ class TestGrid:
         # helper enumeration at a deliberately coarse step: 4 low x 3 high
         q0s, q1s = oracle._axes(F(3, 5), [F(k, 5) for k in range(6)])
         assert len(q0s) * len(q1s) == 12
-
-    def test_minimum_resolution(self):
-        with pytest.raises(ResolutionTooCoarse):
-            build_grid(P, 5)
 
     def test_prior_always_a_coordinate(self):
         g = build_grid(BinaryPrior(F(1, 3)), 10)
@@ -769,11 +764,6 @@ class TestUniformGrid:
         assert {got is None for got in answers} == {True, False}
         assert any(got[0] not in (F(k, 30) for k in range(16)) for got in answers if got)
 
-    def test_resolution_floor(self):
-        h = hierarchy([linear_utility(1, F(-1, 5))], linear_utility(1, F(-3, 10)), UNIFORM)
-        with pytest.raises(ResolutionTooCoarse):
-            solve_general_grid(h, 4)
-
     @staticmethod
     def lattice(resolution):
         return [F(k, resolution) for k in range(resolution + 1)]
@@ -1112,7 +1102,7 @@ class TestVerifySimple:
             contrarian_table(F(7, 10)), BinaryPrior(p),
         )
         forged = BinaryOutcome(F(0), F(1), p, F(1, 2), F(1, 2))
-        assert verify_simple_equilibrium(h, forged, 20) is False
+        assert verify_simple_equilibrium(h, forged, build_grid(BinaryPrior(p), 20)) is False
 
     def test_uniform_equilibrium_passes(self):
         h = hierarchy(
@@ -1153,18 +1143,6 @@ class TestVerifySimple:
                     assert verdict == lattice_verdict(h, m0, m1), (h, m0, m1)
                     verdicts.append(verdict)
         assert len(verdicts) > 500 and set(verdicts) == {True, False}
-
-    def test_zero_resolution_is_too_coarse(self, chain):
-        # 0 is a resolution like any other, not a request for the default
-        h, _ = chain
-        with pytest.raises(ResolutionTooCoarse):
-            verify_simple_equilibrium(h, make_outcome(F(1, 5), 1, P), 0)
-        uniform = hierarchy(
-            [linear_utility(1, F(-8, 25)), linear_utility(1, F(-1, 5)), linear_utility(1, F(-29, 50))],
-            linear_utility(1, F(-3, 10)), UNIFORM,
-        )
-        with pytest.raises(ResolutionTooCoarse):
-            verify_simple_equilibrium(uniform, (F(4, 25), F(33, 50)), 0)
 
     def test_uniform_injected_wide_pair_fails(self):
         h = hierarchy(

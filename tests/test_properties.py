@@ -9,14 +9,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from infochain import (
     AgentSpec,
     BinaryPrior,
-    Kind,
-    Relabeling,
     UniformPrior,
     classify_binary,
     compose,
