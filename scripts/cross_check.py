@@ -18,9 +18,8 @@ With ``--digest`` nothing is compared: the script prints both routes'
 answers, one line per drawn game and no timings, so that the output of two
 versions of the package can be diffed.  Each line holds the closed form's
 answer (kind, support, no-information cause or condition trace, the pivotal
-agents and every player's exact value; ``not-covered: <reason>`` for a
-uniform game outside its region), then the oracle's (for a binary game the
-breakpoint-grid SPE supports, for a uniform game the supports of the pair
+agents and every player's exact value), then the oracle's (for a binary game
+the breakpoint-grid SPE supports, for a uniform game the supports of the pair
 search on the breakpoint means) and the pass-through verdict on the
 closed-form report.
 
@@ -45,7 +44,6 @@ from infochain import (
     BinaryPrior,
     GeneralEquilibriumReport,
     HierarchySpec,
-    NotCovered,
     UniformPrior,
     conformist_table,
     contrarian_table,
@@ -109,19 +107,15 @@ DRAWS = {"binary": random_binary_game, "uniform": random_uniform_game}
 
 
 def check(family: str, games: int, seed: int) -> int:
-    """Both routes on `games` covered draws of one family: the closed support
-    among the oracle's, the binary values equal to the oracle's
-    from-definition values, and the closed report past the verifier."""
+    """Both routes on `games` draws of one family: the closed support among
+    the oracle's, the binary values equal to the oracle's from-definition
+    values, and the closed report past the verifier."""
     rng = random.Random(seed)
-    failures = skipped = solved = 0
-    while solved < games:
+    failures = 0
+    for i in range(games):
         h = DRAWS[family](rng)
         report, support, found, _ = routes(h)
-        if isinstance(report, NotCovered):
-            skipped += 1
-            continue
-        where = f"[{family} {solved}]"
-        solved += 1
+        where = f"[{family} {i}]"
         if support not in found:
             failures += 1
             print(f"{where} closed support {show_pair(support)} not among {show(found)}\n"
@@ -138,9 +132,6 @@ def check(family: str, games: int, seed: int) -> int:
             failures += 1
             print(f"{where} pass-through verifier rejects closed support "
                   f"{show_pair(report.support)}\n  hierarchy: {hierarchy_doc(h)}")
-    if skipped:
-        print(f"{family}: skipped {skipped} games outside the characterized region",
-              file=sys.stderr)
     return failures
 
 
@@ -173,12 +164,9 @@ def digest(family: str, games: int, seed: int) -> None:
     for i in range(games):
         h = DRAWS[family](rng)
         report, _, found, _ = routes(h)
-        if isinstance(report, NotCovered):
-            closed, verdict = f"not-covered: {report}", "not-covered"
-        else:
-            closed, verdict = describe(report), verify_simple_equilibrium(h, report)
         oracle = "spe" if h.is_binary else "pairs"
-        print(f"{family} {i}: closed {closed} {oracle} {show(found)} verified {verdict}")
+        print(f"{family} {i}: closed {describe(report)} {oracle} {show(found)} "
+              f"verified {verify_simple_equilibrium(h, report)}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -4,9 +4,8 @@
 Holds the rest of the hierarchy fixed, moves a single seat's threshold through
 a grid of positions, and writes one CSV row per position: the equilibrium kind,
 condition trace, support, and the receiver's expected value.  Positions where
-the moving threshold collides with another agent or the prior, or where the
-characterization declines to claim an answer, are kept as rows with the reason
-in the kind column so the phase boundaries stay visible.
+the moving threshold collides with another agent or the prior are kept as rows
+with the reason in the kind column so the phase boundaries stay visible.
 
 Example:
     python3 scripts/sweep_threshold.py configs/uniform_interior.json \
@@ -27,7 +26,6 @@ from infochain import (
     BinaryPrior,
     HierarchySpec,
     LinearUtility,
-    NotCovered,
     TableUtility,
     ThresholdCollision,
     ValidationError,
@@ -71,15 +69,12 @@ def solve_row(h: HierarchySpec, threshold: Fraction, seat: str) -> list[str]:
         moved = reseat(h, seat, threshold)
     except (ThresholdCollision, ValidationError) as e:
         return [str(threshold), "collision", "", "", "", str(e)]
-    try:
-        if isinstance(moved.prior, BinaryPrior):
-            r = solve_binary(moved)
-            trace = r.no_info_cause.value if r.no_info_cause else ""
-        else:
-            r = solve_general_uniform(moved)
-            trace = r.condition_trace
-    except NotCovered as e:
-        return [str(threshold), "not-covered", "", "", "", str(e)]
+    if isinstance(moved.prior, BinaryPrior):
+        r = solve_binary(moved)
+        trace = r.no_info_cause.value if r.no_info_cause else ""
+    else:
+        r = solve_general_uniform(moved)
+        trace = r.condition_trace
     lo, hi = r.support[0], r.support[-1]
     return [str(threshold), r.kind.value, trace, str(lo), str(hi), str(r.values[-1])]
 
@@ -109,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if sink is not sys.stdout:
             sink.close()
-    solved = sum(1 for row in rows if row[1] not in ("collision", "not-covered"))
+    solved = sum(1 for row in rows if row[1] != "collision")
     print(f"{solved}/{len(rows)} positions solved", file=sys.stderr)
     return 0
 

@@ -27,14 +27,16 @@ from .agents import (
     AgentSpec,
     HierarchySpec,
     LinearUtility,
+    PivotalReport,
     Relabeling,
     Utility,
     conformist_table,
     hierarchy,
+    pivotal_general,
     relabel_utility,
 )
 from .binary_solver import EquilibriumReport, solve_binary
-from .general_solver import GeneralEquilibriumReport, solve_general_uniform
+from .general_solver import GeneralEquilibriumReport, GeneralKind, solve_general_uniform
 
 
 class NoImprovement(ChainError):
@@ -151,26 +153,32 @@ def _canonical_low_mean(report: GeneralEquilibriumReport) -> Fraction:
 
 def _general_templates(
     h: HierarchySpec,
-) -> tuple[GeneralEquilibriumReport, Fraction, Fraction, Fraction, Fraction]:
+) -> tuple[GeneralEquilibriumReport, PivotalReport, Fraction, Fraction, Fraction]:
     """The incumbent chain's report and the canonical ingredients for
-    appointments: (receiver crossing, pivot crossing, single-appointee
+    appointments: (pivotal report, receiver crossing, single-appointee
     toward-1 crossing, toward-0 crossing).  A state flip reflects the
-    receiver's crossing through 1/2; an action flip keeps it.
+    receiver's crossing through 1/2; an action flip keeps it.  A chain with
+    no conformist sender transmits the cut pinned at the receiver's
+    crossing, which then stands in for the pivot's: the pivotal report is
+    that of the chain with a conformist appended there.
 
     Raises NoImprovement when the incumbent is silent with no conformist
     anywhere: an opposed intermediary is already in place and an appointee
     cannot unseat it."""
     before = solve_general_uniform(h)
     piv = before.pivotal
-    if piv is None:
+    if piv is None and before.kind is GeneralKind.NO_INFO:
         raise NoImprovement("structurally opposed chain; appending cannot help")
     w_r = h.receiver.utility.crossing
     if before.relabeling.flip_state:
         w_r = 1 - w_r
+    if piv is None:
+        stand_in = _appointee(LinearUtility(Fraction(1), -w_r), before.relabeling)
+        piv = pivotal_general(_append(h, (stand_in,)))
     w_p = piv.p_threshold
     toward1 = min(w_p, max(w_r / 2, piv.d_dstar_threshold))
     toward0 = min(w_r / 2, w_p) + HALF
-    return before, w_r, w_p, toward1, toward0
+    return before, piv, w_r, toward1, toward0
 
 
 def optimal_vp_general(h: HierarchySpec) -> VpRecommendation:
@@ -183,9 +191,9 @@ def optimal_vp_general(h: HierarchySpec) -> VpRecommendation:
     cell and pushes the cut up (rule "anchor-high-cell").  Verified by
     re-solving; structural silence raises NoImprovement.
     """
-    before, w_r, w_p, toward1, toward0 = _general_templates(h)
+    before, piv, w_r, toward1, toward0 = _general_templates(h)
     m0 = _canonical_low_mean(before)
-    if m0 > w_r / 2 or m0 == w_p:
+    if m0 > w_r / 2 or m0 == piv.p_threshold:
         rule, t = RULE_TIGHTEN, toward1
     else:
         rule, t = RULE_ANCHOR, toward0
@@ -203,10 +211,10 @@ def optimal_two_vps(h: HierarchySpec) -> VpRecommendation:
     confirms that the two may be appended in either order and that a third
     copy of either template buys nothing further.
     """
-    before, w_r, w_p, _, toward0 = _general_templates(h)
+    before, piv, w_r, _, toward0 = _general_templates(h)
     # the downward cap folds in a contrarian first mover: pushing the cut
     # below her own crossing would leave her preferring the cap itself
-    toward1 = min(w_p, max(w_r / 2, before.pivotal.d_star_general))
+    toward1 = min(piv.p_threshold, max(w_r / 2, piv.d_star_general))
     vp_down = _appointee(LinearUtility(Fraction(1), -toward1), before.relabeling)
     vp_up = _appointee(LinearUtility(Fraction(1), -toward0), before.relabeling)
     after = solve_general_uniform(_append(h, (vp_down, vp_up)))

@@ -67,7 +67,6 @@ from .agents import (
 from .binary_solver import EquilibriumReport, solve_binary
 from .general_solver import (
     GeneralEquilibriumReport,
-    NotCovered,
     player1_value,
     solve_general_uniform,
     solve_subgame_given_support,
@@ -378,16 +377,13 @@ def oracle_answer(h: HierarchySpec):
 def routes(h: HierarchySpec):
     """Both routes on one hierarchy: (closed, support, found, axes).
 
-    ``closed`` is the closed form's report, or the `NotCovered` it raised in
-    its place.  ``support`` is the closed support as the oracle writes one:
-    a silent uniform report's (1/2,) becomes the pair (1/2, 1/2), and a
-    refusal has None.  ``found`` and ``axes`` are `oracle_answer`'s.  The two
-    routes agree when ``support`` is among ``found``."""
-    try:
-        closed = _solve_for(h)
-        support = closed.support
-    except NotCovered as e:
-        closed, support = e, None
+    ``closed`` is the closed form's report; both closed forms answer every
+    chain.  ``support`` is the closed support as the oracle writes one: a
+    silent uniform report's (1/2,) becomes the pair (1/2, 1/2).  ``found``
+    and ``axes`` are `oracle_answer`'s.  The two routes agree when
+    ``support`` is among ``found``."""
+    closed = _solve_for(h)
+    support = closed.support
     found, axes, _ = oracle_answer(h)
     if not h.is_binary and support == (HALF,):
         support = (HALF, HALF)
@@ -454,8 +450,6 @@ def _cmd_oracle(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
 
 def _cmd_compare(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
     closed, support, found, axes = routes(h)
-    if isinstance(closed, NotCovered):
-        raise closed
     matched = support in found
     report = {"matched": matched, **_axes_doc(h, axes), "closed_form": _solve_doc(closed),
               "oracle": [_nums(c) for c in found]}
@@ -544,8 +538,7 @@ def _cmd_curve(h: HierarchySpec, cfg: RunConfig) -> CommandResult:
     supremum sits at an end: a pass point, whose own row holds it, or an end
     that does not pass, which no cut attains.  That such an end never beats
     the argmax is checked, not proved: criterion 11 requires the argmax to be
-    `solve_general_uniform`'s cut, or among `solve_general_grid`'s answers
-    where the closed form refuses."""
+    `solve_general_uniform`'s answer on 586 draws."""
     if h.is_binary:
         raise ValidationError("curve needs a uniform-state hierarchy")
     try:
@@ -605,7 +598,6 @@ _INPUT_ERRORS = (
     DegenerateAgent,
     ExtremistReceiver,
     NoConformist,
-    NotCovered,
     SeedRequired,
 )
 

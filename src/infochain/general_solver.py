@@ -12,7 +12,9 @@ game reduces to placing m0:
   above;
 * a 0-biased conformist intermediary far from the pivot forces m0 upward, or,
   beyond distance 1/2, kills transmission entirely;
-* within those constraints player 1 parks m0 at her own stationary point.
+* within those constraints player 1 parks m0 at her own stationary point;
+* the receiver's indifference mean caps m0: with no conformist sender below
+  it, the cut is pinned there.
 
 An extremist receiver never reacts, so every split is worth silence to every
 seat (Kamenica & Gentzkow) and the solver answers silence, as `solve_binary`
@@ -64,8 +66,9 @@ from .agents import (
 
 
 class NotCovered(ChainError):
-    """The closed form does not extend to this configuration; use the
-    exhaustive grid search instead of a guess."""
+    """Once raised where the closed form did not extend.  Nothing raises it
+    now: `solve_general_uniform` answers every chain.  It stays exported for
+    code that still catches it."""
 
 
 class GeneralKind(Enum):
@@ -74,7 +77,7 @@ class GeneralKind(Enum):
 
 
 # condition_trace tokens name the gate that decided the outcome: the four
-# no-information causes, then the three supported cases
+# no-information causes, then the four supported cases
 TRACE_OPPOSED = "1a"
 TRACE_BLOCKER_ABOVE_PIVOT = "1b"
 TRACE_ORDERING = "1c"
@@ -82,6 +85,7 @@ TRACE_DISTANT_ZERO_BIAS = "2"
 TRACE_MIXED = "a"
 TRACE_FAR_CONFORMISTS = "b"
 TRACE_INTERIOR = "c"
+TRACE_RECEIVER_PINNED = "r"
 
 _CAUSE_TO_TRACE = {
     BinaryCause.OPPOSED: TRACE_OPPOSED,
@@ -99,9 +103,10 @@ class GeneralEquilibriumReport:
 
     ``support`` holds posterior means ((1/2,) when nothing flows); ``cut`` is
     the physical split point of [0,1], twice the low mean.  ``condition_trace``
-    is "1a"/"1b"/"1c"/"2" for the no-information causes and "a"/"b"/"c" for
-    the supported cases (non-conformist senders present / all conformists with
-    a distant 0-biased intermediary / all conformists, interior optimum).
+    is "1a"/"1b"/"1c"/"2" for the no-information causes and "a"/"b"/"c"/"r"
+    for the supported cases (non-conformist senders present / all conformists
+    with a distant 0-biased intermediary / all conformists, interior optimum /
+    the cut pinned at the receiver's indifference mean).
     ``values`` aligns with ``labels`` (senders first, receiver last).
     """
 
@@ -217,14 +222,35 @@ def _report(
 
 
 def solve_general_uniform(h: HierarchySpec) -> GeneralEquilibriumReport:
-    """Closed-form equilibrium of the uniform-state linear chain.
+    """Closed-form equilibrium of the uniform-state linear chain.  It
+    answers every chain.
 
     An extremist receiver gets silence, trace "1a", with no pivotal report
-    and the identity relabeling.  Raises NotCovered rather than guessing
-    outside the characterized region: chains with no conformist anywhere, a
-    distant 0-biased conformist with no conformist intermediary ahead of the
-    receiver's indifference mean, and parameter corners where the
-    pivot-placed support would not actually survive the induced subgame.
+    and the identity relabeling.  Otherwise the chain's classes decide, in
+    the canonical frame, with w_r the receiver's indifference mean and w_p
+    the pivot's crossing.  A distant 0-biased conformist (B*_P more than 1/2
+    past the pivot) silences the chain, trace "2", when w_p < w_r: the
+    collapse needs a conformist below w_r.
+
+    Where the pivot would place the low mean at or past w_r, or no sender is
+    a conformist at all, the answer is the cut (w_r, w_r + 1/2), trace "r",
+    pinned at the receiver's indifference mean as in one-sender persuasion
+    (Kamenica & Gentzkow, 2011).  In each such chain no conformist sender
+    sits below w_r: with one there, w_p < w_r bounds every low mean the
+    pivot places.  A contrarian at or past w_r has already silenced the
+    chain as "1a", so on [w_r, w_r + 1/2] `reclassify_under_support` leaves
+    every intermediary a zero-extremist or a conformist at or past the
+    receiver's subgame threshold 0.  Neither is ever pivotal, and
+    `pivotal_rule` on the subgame passes the cut intact.  At w_r the last
+    sender loses from action 1 (a conformist past w_r, a contrarian below
+    it, or a zero-extremist), so `receiver_rule` sends the tie to action 0.
+    Player 1 loses from action 1 there too, so the cut beats silence for
+    her by -2 w_r g1(w_r) > 0, g1 being her gain.  That no other pair beats
+    it is checked, not proved: criterion 10 requires the answer among
+    `solve_general_grid`'s on 586 draws.
+
+    Every placed cut must pass its induced subgame intact; a cut that does
+    not raises ChainError, an internal fault.
     """
     _require_uniform_linear(h)
     try:
@@ -246,32 +272,10 @@ def solve_general_uniform(h: HierarchySpec) -> GeneralEquilibriumReport:
     if kind is EquilibriumKind.NO_INFO:
         trace = _CAUSE_TO_TRACE[cause]
         return _report(h, GeneralKind.NO_INFO, (HALF,), trace, pivotal, rel)
-    if pivotal is None:
-        raise NotCovered(
-            "no conformist anywhere in the chain; the pivot-based "
-            "characterization does not apply"
-        )
-    w_p = pivotal.p_threshold
-
-    if pivotal.b_star_p_threshold - w_p > HALF:
-        # The collapse argument presumes a conformist intermediary sits ahead
-        # of the receiver's indifference mean.  Without one, a cut pinned at
-        # that mean is garbled no lower than the mean itself, the receiver's
-        # tie-break leaves its low cell unacted, and whenever player 1 weakly
-        # dislikes action there the surviving pair beats silence for her.
-        conformist_before_receiver = any(
-            c.kind is Kind.CONFORMIST and c.threshold < w_r for c in classes[1:]
-        )
-        if (
-            not conformist_before_receiver
-            and not receiver_rule(canon)(w_r)
-            and canon.senders[0].utility.gain_of_action1(w_r) <= 0
-        ):
-            raise NotCovered(
-                "no conformist intermediary ahead of the receiver's "
-                f"indifference mean {w_r}: a cut pinned there escapes the "
-                "distant-conformist collapse; outside the characterized region"
-            )
+    # with no conformist anywhere, some sender is not one, and the mixed
+    # case below places the low mean at w_r
+    w_p = w_r if pivotal is None else pivotal.p_threshold
+    if w_p < w_r and pivotal.b_star_p_threshold - w_p > HALF:
         return _report(
             h, GeneralKind.NO_INFO, (HALF,), TRACE_DISTANT_ZERO_BIAS, pivotal, rel
         )
@@ -284,18 +288,14 @@ def solve_general_uniform(h: HierarchySpec) -> GeneralEquilibriumReport:
         stationary = classes[0].threshold / 2
         m0 = min(w_p, max(pivotal.b_star_threshold - HALF, stationary))
         trace = TRACE_INTERIOR
+    if m0 >= w_r:
+        m0, trace = w_r, TRACE_RECEIVER_PINNED
 
-    if not 0 < m0 < w_r:
-        raise NotCovered(
-            f"the pivot places the low mean at {m0}, at or past the receiver's "
-            f"indifference mean {w_r}; outside the characterized region"
-        )
     delivered = solve_subgame_given_support(canon, m0, m0 + HALF)
     if delivered is None or delivered.support() != (m0, m0 + HALF):
-        raise NotCovered(
-            f"the support ({m0}, {m0 + HALF}) would not survive the induced "
-            f"subgame (delivered: {delivered}); outside the characterized region"
+        raise ChainError(
+            f"the support ({m0}, {m0 + HALF}) did not survive the induced "
+            f"subgame (delivered: {delivered})"
         )
     support = rel.support_back((m0, m0 + HALF))
     return _report(h, GeneralKind.SUPPORTED, support, trace, pivotal, rel)
-

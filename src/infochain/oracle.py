@@ -149,7 +149,10 @@ class Outcomes(Sequence[BinaryOutcome]):
 
 
 def build_grid(prior: BinaryPrior, resolution: int) -> OutcomeGrid:
-    """The grid whose axes are the lattice k/resolution and the prior."""
+    """The grid whose axes are the lattice k/resolution and the prior.
+    Raises ChainError for a resolution below 1."""
+    if resolution < 1:
+        raise ChainError(f"a lattice needs a resolution of at least 1, got {resolution}")
     lattice = (Fraction(k, resolution) for k in range(resolution + 1))
     return OutcomeGrid(prior, *_axes(prior.p, lattice))
 
@@ -828,8 +831,8 @@ def solve_general_grid(
     """Exhaustive search over player 1's mean pairs on one axis, each
     answered by the induced subgame; returns the Blackwell-maximal argmax
     supports (a degenerate result is reported as (1/2, 1/2)).  ``means`` is
-    an int G, for the lattice k/G (the dense reference), or a sorted axis
-    of means in [0, 1] such as
+    an int G >= 2, for the lattice k/G (the dense reference; a smaller G
+    raises ChainError), or a sorted axis of means in [0, 1] such as
     ``breakpoint_means(h)``, on which the answer is the continuum's.
 
     The subgame is answered once per *order type*, not once per pair.  Let
@@ -928,6 +931,8 @@ def solve_general_grid(
     crossings = tuple(a.utility.crossing for a in (*h.senders[1:], h.receiver))
     # every mean m below is the int scale * m
     if isinstance(means, int):
+        if means < 2:
+            raise ChainError(f"the mean lattice needs a resolution of at least 2, got {means}")
         scale = lcm(2, means, *(w.denominator for w in crossings))
         xs: Sequence[int] = range(0, scale + 1, scale // means)
     else:

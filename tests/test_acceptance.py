@@ -46,7 +46,6 @@ from infochain.binary_solver import EquilibriumKind, NoInfoCause
 from infochain.cli import RunConfig, _cmd_curve
 from infochain.general_solver import (
     GeneralKind,
-    NotCovered,
     player1_value,
     solve_general_uniform,
     solve_subgame_given_support,
@@ -103,15 +102,8 @@ def binary_suite():
 @pytest.fixture(scope="module")
 def uniform_suite():
     rng = random.Random(3003)
-    suite, skipped = [], 0
-    while len(suite) < 200:
-        h = _random_uniform_game(rng)
-        try:
-            suite.append((h, solve_general_uniform(h)))
-        except NotCovered:
-            skipped += 1
-    print(f"uniform suite: 200 solved, {skipped} outside the characterized region")
-    return suite
+    games = [_random_uniform_game(rng) for _ in range(200)]
+    return [(h, solve_general_uniform(h)) for h in games]
 
 
 @pytest.fixture
@@ -253,21 +245,32 @@ def test_criterion_3_uniform_closed_form_matches_oracle(uniform_suite, announce)
 # breakpoint means needs no lattice
 # ---------------------------------------------------------------------------
 
+def _closed_pair(report):
+    """The closed form's support as the pair search writes it."""
+    return (F(1, 2), F(1, 2)) if len(report.support) == 1 else report.support
+
+
 def test_criterion_10_uniform_pair_search_needs_no_lattice(announce):
     start = time.perf_counter()
-    # the 286 seed-3003 draws behind the uniform suite, covered or not: the
-    # G=200 lattice holds every point of their axes, so both searches agree
+    # the 286 seed-3003 draws: the G=200 lattice holds every point of their
+    # axes, so both searches agree, and the closed form answers every draw
+    # with one of their pairs
     rng = random.Random(3003)
+    pinned = 0
     for _ in range(286):
         h = _random_uniform_game(rng)
-        assert solve_general_grid(h, breakpoint_means(h)) == solve_general_grid(h, 200), h
+        pairs = solve_general_grid(h, breakpoint_means(h))
+        assert pairs == solve_general_grid(h, 200), h
+        report = solve_general_uniform(h)
+        assert _closed_pair(report) in pairs, (h, report.support, pairs)
+        pinned += report.condition_trace == "r"
 
     # off the lattice: the search at 1/L, L the lcm of the points'
     # denominators, and at 1/(2L) must give the breakpoint search's answer
     # (a supremum approached only on an open face would split them), and
-    # every covered closed-form support must be in it exactly
+    # every closed-form support must be in it exactly
     rng = random.Random(4711)
-    covered = off_lattice = 0
+    off_lattice = 0
     for _ in range(300):
         h = _cross_check.random_off_lattice_uniform_game(rng)
         means = breakpoint_means(h)
@@ -278,18 +281,15 @@ def test_criterion_10_uniform_pair_search_needs_no_lattice(announce):
         assert pairs == solve_general_grid(h, resolution), (h, resolution)
         assert pairs == solve_general_grid(h, 2 * resolution), (h, resolution)
         off_lattice += any((m * 100).denominator != 1 for pair in pairs for m in pair)
-        try:
-            report = solve_general_uniform(h)
-        except NotCovered:
-            continue
-        covered += 1
-        target = (F(1, 2), F(1, 2)) if len(report.support) == 1 else report.support
-        assert target in pairs, (h, report.support, pairs)
+        report = solve_general_uniform(h)
+        assert _closed_pair(report) in pairs, (h, report.support, pairs)
+        pinned += report.condition_trace == "r"
     assert off_lattice > 0  # the draws do leave the 1/100 lattice
     elapsed = time.perf_counter() - start
     announce(f"criterion 10: PASS - 286/286 breakpoint searches equal to G=200; 300/300 "
-             f"off-lattice ones equal to 1/L and 1/(2L) ({off_lattice} off 1/100), "
-             f"{covered}/{covered} covered closed forms in them ({elapsed:.1f}s)")
+             f"off-lattice ones equal to 1/L and 1/(2L) ({off_lattice} off 1/100); "
+             f"586/586 closed forms in them, {pinned} pinned at the receiver's "
+             f"indifference mean ({elapsed:.1f}s)")
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +344,7 @@ def test_criterion_11_curve_rows_stand_for_their_gaps(announce):
             yield _cross_check.random_off_lattice_uniform_game(rng)
 
     config = RunConfig(Path(), "curve")
-    games = probes = covered = silent = 0
+    games = probes = silent = 0
     for h in draws():
         _, doc, _ = _cmd_curve(h, config)
         canon, rel = canonicalize_receiver(h)
@@ -361,27 +361,19 @@ def test_criterion_11_curve_rows_stand_for_their_gaps(announce):
                 probes += 1
                 assert kind(canon, m0) == rows[(points[i - 1] + points[i]) / 2], (h, m0)
         # the argmax, a pass row or silence (null), mapped back to the
-        # original frame, is the closed form's support where it answers and
-        # among the exhaustive search's answers where it refuses
+        # original frame, is the closed form's support
         if doc["argmax_m0"] is None:
             pair = (half, half)
             silent += 1
         else:
             m0 = F(doc["argmax_m0"])
             pair = rel.support_back((m0, m0 + half))
-        try:
-            report = solve_general_uniform(h)
-        except NotCovered:
-            assert pair in solve_general_grid(h, breakpoint_means(h)), h
-        else:
-            covered += 1
-            assert pair == ((half, half) if len(report.support) == 1 else report.support), h
+        assert pair == _closed_pair(solve_general_uniform(h)), h
         games += 1
     elapsed = time.perf_counter() - start
     announce(f"criterion 11: PASS - {games}/{games} curves: {probes} off-axis lattice means "
              f"of the kind of their gap's row; argmax ({silent} silent) equal to the closed "
-             f"form on {covered} covered draws and in the pair search on "
-             f"{games - covered} refused ones ({elapsed:.1f}s)")
+             f"form on every draw ({elapsed:.1f}s)")
 
 
 # ---------------------------------------------------------------------------

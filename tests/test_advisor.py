@@ -10,9 +10,9 @@ from infochain import (
     BinaryPrior,
     ChainError,
     NoImprovement,
-    NotCovered,
     Relabeling,
     UniformPrior,
+    breakpoint_means,
     conformist_table,
     contrarian_table,
     hierarchy,
@@ -20,6 +20,7 @@ from infochain import (
     one_extremist_table,
     relabel_hierarchy,
     solve_binary,
+    solve_general_grid,
     solve_general_uniform,
     zero_extremist_table,
 )
@@ -35,7 +36,8 @@ from infochain.advisor import (
 )
 from infochain.binary_solver import EquilibriumKind
 from infochain.general_solver import GeneralKind
-from test_acceptance import _load_script
+from infochain.oracle import _means_value, _respond_to_means
+from test_acceptance import _load_script, _random_uniform_game
 
 P = BinaryPrior(F(3, 5))
 U = UniformPrior()
@@ -213,10 +215,21 @@ class TestGeneralAppointment:
         assert rec.after.support == (F(9, 50), F(17, 25))
         assert rec.receiver_gain > 0
 
-    def test_not_covered_propagates(self):
-        h = gchain([conf("0.32"), contr("0.2"), conf("0.58")])
-        with pytest.raises(NotCovered):
+    def test_chain_with_no_conformist_gains_from_a_pair(self):
+        # seed 3003's draw 106: one contrarian sender, so the chain transmits
+        # the cut pinned at the receiver's crossing, 31/100 in the canonical
+        # frame, and has no pivot; that crossing stands in for the pivot's.
+        # A single appointee aims below the sender's canonical crossing
+        # 19/100 and gains nothing; the pair caps the cut at it
+        h = gchain([contr("0.81")], receiver=conf("0.69"))
+        before = solve_general_uniform(h)
+        assert (before.condition_trace, before.pivotal) == ("r", None)
+        with pytest.raises(NoImprovement, match="appending an appointee cannot"):
             optimal_vp_general(h)
+        rec = optimal_two_vps(h)
+        canonical = rec.after.relabeling.support_back(rec.after.support)
+        assert canonical == (F(19, 100), F(69, 100))
+        assert rec.receiver_gain == F(57, 1250)
 
     def test_extremist_receiver_gains_nothing(self):
         h = gchain(CASE_C, receiver=linear_utility(1, F(1, 10)))
@@ -330,6 +343,31 @@ class TestRandomizedInvariants:
             assert canonical == (point, F(1))
         assert emitted >= 10
 
+    def test_pinned_chains_agree_with_the_oracle(self):
+        # on every seed-3003 draw answered with the cut pinned at the
+        # receiver's crossing, each recommendation's receiver value is the
+        # pair search's on the extended chain, for every answer it gives
+        rng = random.Random(3003)
+        pinned = recommended = 0
+        for _ in range(286):
+            h = _random_uniform_game(rng)
+            if solve_general_uniform(h).condition_trace != "r":
+                continue
+            pinned += 1
+            for recommend in (optimal_vp_general, optimal_two_vps):
+                try:
+                    rec = recommend(h)
+                except NoImprovement:
+                    continue
+                recommended += 1
+                extended = hierarchy([*h.senders, *rec.specs], h.receiver, U, strict=False)
+                pairs = solve_general_grid(extended, breakpoint_means(extended))
+                assert {
+                    _means_value(h.receiver.utility, _respond_to_means(extended, *pair))
+                    for pair in pairs
+                } == {rec.after.values[-1]}, (h, recommend.__name__)
+        assert (pinned, recommended) == (86, 167)
+
     def test_general_appointments(self):
         rng = random.Random(8235)
         grid = [F(k, 50) for k in range(1, 50) if F(k, 50) != F(1, 2)]
@@ -344,7 +382,7 @@ class TestRandomizedInvariants:
             try:
                 h = hierarchy(senders, receiver, U)
                 rec = optimal_vp_general(h)
-            except (ChainError, NotCovered):
+            except ChainError:
                 continue
             emitted += 1
             assert rec.receiver_gain > 0

@@ -483,15 +483,17 @@ class TestCommands:
         assert doc["argmax_value"] == solved["values"][0] == "1/5"
 
     @pytest.mark.parametrize("command", ["solve", "compare"])
-    def test_refused_chain_exits_one(self, capsys, tmp_path, command):
+    def test_pivot_past_receiver_pins_the_cut(self, capsys, tmp_path, command):
+        # the pivot's crossing 8/25 is past the receiver's 3/10: the cut is
+        # pinned at the receiver's indifference mean, the oracle's one answer
         path = uniform_config(tmp_path, [(1, "-8/25"), (-1, "1/5"), (1, "-29/50")],
                               (1, "-3/10"))
-        assert main([command, "--config", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(
-            "error: the pivot places the low mean at 8/25, at or past the receiver's "
-            "indifference mean 3/10; outside the characterized region")
+        code, doc = run_json(capsys, command, "--config", path)
+        assert code == 0
+        solved = doc if command == "solve" else doc["closed_form"]
+        assert (solved["support"], solved["condition_trace"]) == (["3/10", "4/5"], "r")
+        if command == "compare":
+            assert doc["matched"] and doc["oracle"] == [["3/10", "4/5"]]
 
     def test_curve_rejects_binary_chains(self, capsys):
         assert main(["curve", "--config", str(ORDERING)]) == 1
@@ -595,6 +597,17 @@ class TestExitCodes:
         monkeypatch.setitem(cli._COMMANDS, "solve", boom)
         assert main(["solve", "--config", str(ORDERING)]) == 3
         assert "internal error" in capsys.readouterr().err
+
+    def test_a_placed_cut_that_does_not_survive_is_an_internal_fault(self, capsys, monkeypatch):
+        # the uniform closed form places only cuts its subgame passes intact
+        from infochain import general_solver
+
+        monkeypatch.setattr(general_solver, "solve_subgame_given_support", lambda h, m0, m1: None)
+        assert main(["solve", "--config", str(INTERIOR)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("internal error: ChainError: the support (4/25, 33/50) did not "
+                                "survive the induced subgame (delivered: None)\n")
 
     def test_empty_level_set_is_an_internal_fault(self, capsys, monkeypatch):
         # only a broken level recursion empties a level set: not bad input

@@ -17,7 +17,6 @@ from infochain import (
     GeneralKind,
     HierarchySpec,
     Kind,
-    NotCovered,
     OrderViolation,
     Relabeling,
     TableUtility,
@@ -265,13 +264,20 @@ class TestSolveGeneralUniform:
         assert r.support == (F(1, 5), F(7, 10))
         assert r.condition_trace == "c"
 
-    def test_pivot_past_receiver_not_covered(self):
-        with pytest.raises(NotCovered):
-            solve_general_uniform(chain([conf("0.32"), contr("0.2"), conf("0.58")]))
+    def test_pivot_past_receiver_pins_the_cut(self):
+        # the pivot's crossing 0.32 is past the receiver's 0.3: the low mean
+        # is pinned at the receiver's indifference mean
+        r = solve_general_uniform(chain([conf("0.32"), contr("0.2"), conf("0.58")]))
+        assert r.kind is GeneralKind.SUPPORTED
+        assert (r.support, r.cut, r.condition_trace) == ((F(3, 10), F(4, 5)), F(3, 5), "r")
+        assert r.pivotal.p_threshold == F(8, 25) and r.efficient
 
-    def test_no_conformist_not_covered(self):
-        with pytest.raises(NotCovered):
-            solve_general_uniform(chain([contr("0.1"), contr("0.2")]))
+    def test_no_conformist_pins_the_cut(self):
+        h = chain([contr("0.1"), contr("0.2")])
+        r = solve_general_uniform(h)
+        assert r.kind is GeneralKind.SUPPORTED
+        assert (r.support, r.condition_trace, r.pivotal) == ((F(3, 10), F(4, 5)), "r", None)
+        assert r.support in solve_general_grid(h, breakpoint_means(h))
 
     def test_extremist_receiver_gets_silence(self):
         # a receiver who never reacts makes every split worth silence, and
@@ -294,19 +300,16 @@ class TestSolveGeneralUniform:
 
 class TestReportValues:
     def test_values_follow_the_tie_rule_under_a_relabeling(self):
-        # on the seed-3003 draws the closed form refuses, the exhaustive
-        # search answers a cut with one mean on the receiver's indifference
-        # mean; where the receiver is relabeled, the report must value that
-        # cut, tie included, as the oracle does
+        # on the seed-3003 draws answered with the cut pinned at the
+        # receiver's indifference mean, the exhaustive search answers that
+        # cut; where the receiver is relabeled, the report must value it,
+        # tie included, as the oracle does
         rng = random.Random(3003)
         relabeled = 0
         for _ in range(286):
             h = _random_uniform_game(rng)
-            try:
-                solve_general_uniform(h)
+            if solve_general_uniform(h).condition_trace != "r":
                 continue
-            except NotCovered:
-                pass
             rel = canonicalize_receiver(h)[1]
             if rel.identity:
                 continue
@@ -345,8 +348,7 @@ class TestGridAgreement:
     def test_random_instances_match_oracle(self):
         rng = random.Random(23)
         grid = 100
-        tested = 0
-        while tested < 20:
+        for _ in range(20):
             n = rng.randint(1, 4)
             pool = [F(k, 50) for k in range(1, 50) if F(k, 50) != HALF]
             rng.shuffle(pool)
@@ -355,11 +357,7 @@ class TestGridAgreement:
             receiver = conf(ws[n]) if rng.random() < 0.8 else contr(ws[n])
             h = hierarchy(senders, receiver, U)
             companion_quiet = companion_silent(h)
-            try:
-                mine = solve_general_uniform(h)
-            except NotCovered:
-                continue
-            tested += 1
+            mine = solve_general_uniform(h)
             if companion_quiet:
                 assert mine.kind is GeneralKind.NO_INFO
             sup = (HALF, HALF) if len(mine.support) == 1 else mine.support

@@ -24,7 +24,6 @@ from infochain import (
     ChainError,
     HierarchySpec,
     IntervalCut,
-    NotCovered,
     OutcomeGrid,
     SeedRequired,
     TableUtility,
@@ -124,6 +123,22 @@ class TestGrid:
 
     def test_degenerate_present(self, grid20):
         assert make_outcome(P.p, P.p, P) in grid20.outcomes
+
+    @pytest.mark.parametrize("build, resolution", [
+        ("grid", 0), ("grid", -3), ("means", 0), ("means", -2), ("means", 1),
+    ])
+    def test_resolution_below_the_floor_is_refused(self, build, resolution):
+        # a lattice needs a step: k/0 divides by zero, a negative step
+        # leaves the prior alone, and one mean step leaves no pair to search
+        with pytest.raises(ChainError, match=f"got {resolution}$"):
+            if build == "grid":
+                build_grid(BinaryPrior(F(3, 5)), resolution)
+            else:
+                solve_general_grid(
+                    hierarchy([linear_utility(1, F(-8, 25))], linear_utility(1, F(-3, 10)),
+                              UNIFORM),
+                    resolution,
+                )
 
     @pytest.mark.parametrize("p", [F(1, 3), F(2, 7), F(77, 100)])
     @pytest.mark.parametrize("resolution", [10, 17, 37])
@@ -731,7 +746,8 @@ class TestUniformGrid:
         # m1 = m0 + 1/2 and V = 2 (1/2 - m0)(m0 - 3/20), rising in m0 up to
         # 13/40.  So the optimum is the cut (3/25, 31/50), worth
         # 2 * 19/50 * (-3/100) = -57/2500, attained on every lattice that
-        # holds 3/25, not only approached from below
+        # holds 3/25, not only approached from below.  The closed form pins
+        # the same cut at the receiver's indifference mean
         rng = random.Random(3003)
         h = [_random_uniform_game(rng) for _ in range(5)][4]
         assert h == hierarchy([linear_utility(1, F(-13, 20))], linear_utility(1, F(-3, 25)), UNIFORM)
@@ -740,8 +756,7 @@ class TestUniformGrid:
         cells = oracle._respond_to_means(h, F(3, 25), F(31, 50))
         assert [a for _, _, a in cells] == [0, 1]
         assert oracle._means_value(h.senders[0].utility, cells) == F(-57, 2500)
-        with pytest.raises(NotCovered):
-            solve_general_uniform(h)
+        assert [solve_general_uniform(h).support] == got
 
     def test_subgames_match_the_closed_form(self):
         # two routes to one subgame: the stand-in's brute force and
@@ -1114,7 +1129,7 @@ class TestVerifySimple:
     def test_uniform_verdicts_match_the_lattice_reference(self):
         # the uniform verifier scans the stand-in on its breakpoint grid; the
         # reference scans it on the 1/100 lattice with its prior, as the
-        # verifier once did.  Pairs: the closed-form support of covered
+        # verifier once did.  Pairs: the closed-form support of the
         # acceptance draws and its two 1/200 widenings, and every feasible
         # 1/20 lattice pair of the first draws
         def lattice_verdict(h, m0, m1):
@@ -1130,10 +1145,7 @@ class TestVerifySimple:
         for draw in range(40):
             h = _random_uniform_game(rng)
             pairs = lattice if draw < 10 else []
-            try:
-                support = solve_general_uniform(h).support
-            except NotCovered:
-                support = ()
+            support = solve_general_uniform(h).support
             if len(support) == 2:
                 m0, m1 = support
                 pairs = [*pairs, (m0, m1), (m0 - F(1, 200), m1), (m0, m1 + F(1, 200))]
