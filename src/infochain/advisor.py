@@ -176,7 +176,9 @@ def _general_templates(
         stand_in = _appointee(LinearUtility(Fraction(1), -w_r), before.relabeling)
         piv = pivotal_general(_append(h, (stand_in,)))
     w_p = piv.p_threshold
-    toward1 = min(w_p, max(w_r / 2, piv.d_dstar_threshold))
+    # the downward aim folds in a contrarian first mover: pushing the cut
+    # below her own crossing would leave her preferring the cap itself
+    toward1 = min(w_p, max(w_r / 2, piv.d_star_general))
     toward0 = min(w_r / 2, w_p) + HALF
     return before, piv, w_r, toward1, toward0
 
@@ -211,10 +213,7 @@ def optimal_two_vps(h: HierarchySpec) -> VpRecommendation:
     confirms that the two may be appended in either order and that a third
     copy of either template buys nothing further.
     """
-    before, piv, w_r, _, toward0 = _general_templates(h)
-    # the downward cap folds in a contrarian first mover: pushing the cut
-    # below her own crossing would leave her preferring the cap itself
-    toward1 = min(piv.p_threshold, max(w_r / 2, piv.d_star_general))
+    before, _, _, toward1, toward0 = _general_templates(h)
     vp_down = _appointee(LinearUtility(Fraction(1), -toward1), before.relabeling)
     vp_up = _appointee(LinearUtility(Fraction(1), -toward0), before.relabeling)
     after = solve_general_uniform(_append(h, (vp_down, vp_up)))

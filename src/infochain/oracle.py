@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .core import (
     HALF,
@@ -120,6 +120,45 @@ class OutcomeGrid:
         if i < ni - 1 and j < nj and (self.q0s[i], self.q1s[j]) == (outcome.q0, outcome.q1):
             return (i, j)
         return None
+
+    @cached_property
+    def geometry(self) -> Geometry:
+        """The integer geometry every `_value_table` of this grid shares,
+        built on first read.  Only the grids the recursion runs on (`_core`'s)
+        are ever read, so it lives as long as one chain or one verdict."""
+        p = self.prior.p
+        q0s, q1s = self.q0s[:-1], self.q1s[1:]
+        clear = lcm(p.denominator, *(q.denominator for q in (*q0s, *q1s)))
+
+        def times(q: Fraction) -> int:
+            return q.numerator * (clear // q.denominator)
+
+        at_p = times(p)
+        belows, aboves = [at_p - times(q) for q in q0s], [times(q) - at_p for q in q1s]
+        widths = {below + above for below in belows for above in aboves}
+        span = lcm(*widths)
+        scale = {w: span // w for w in widths}
+        scales = [[scale[below + above] for above in aboves] for below in belows]
+        return Geometry(clear, at_p, belows, aboves, span, scales)
+
+
+class Geometry(NamedTuple):
+    """A grid's offsets from the prior over one common denominator, and the
+    scale of each informative cell's chord (`_value_table`).
+
+    ``clear`` is the lcm of the denominators of p and every coordinate, and
+    ``at_p`` is p * clear.  ``belows`` holds (p - q0) * clear for each q0 of
+    ``q0s[:-1]`` and ``aboves`` (q1 - p) * clear for each q1 of ``q1s[1:]``.
+    The cell of row i and column j + 1 has width belows[i] + aboves[j];
+    ``span`` is the lcm of the widths that occur, and ``scales[i][j]`` is
+    span // width."""
+
+    clear: int
+    at_p: int
+    belows: list[int]
+    aboves: list[int]
+    span: int
+    scales: list[list[int]]
 
 
 class Outcomes(Sequence[BinaryOutcome]):
@@ -299,55 +338,48 @@ def _value_table(u: TableUtility, actions: Actions, grid: OutcomeGrid) -> list[l
 
     Cell (i, j) is worth (above * low + below * high) / w, where below = p - q0,
     above = q1 - p, w = below + above and low, high are the payoffs at q0 and
-    q1 (the concavification chord).  The offsets and payoffs are brought to
-    one common denominator d = C * U and held as ints, where C clears p and
-    every coordinate and U the four entries of u's table: payoff(q, a) * d =
-    u(0, a) * U * C + (q * C) * (u(1, a) - u(0, a)) * U, so no payoff is built
-    as a `Fraction`.  With L the lcm of the widths w that occur, in those
-    units, the cell is (above * low + below * high) * (L // w) = d * L *
-    value, and a silent cell is payoff(p) * d * L.  Every reader compares
-    entries of one table only, so the scale never shows.
+    q1 (the concavification chord).  Everything but the payoffs is the
+    grid's `Geometry`, built once and shared by every seat: the offsets
+    below and above over the common denominator C of p and the coordinates,
+    and each cell's scale L // w, with L the lcm of the widths w in those
+    units.  A table adds only the seat's payoffs, over d = C * U, U the
+    common denominator of the four entries of u's table: with s(a) =
+    (u(1, a) - u(0, a)) * U, payoff(p, a) * d = u(0, a) * U * C + (p * C) *
+    s(a), and low = payoff(p, a) * d - below * s(a), high = payoff(p, a) * d
+    + above * s(a), so no payoff is built as a `Fraction`.  The cell is
+    (above * low + below * high) * (L // w) = d * L * value, and a silent
+    cell is payoff(p) * d * L.  Every reader compares entries of one table
+    only, so the scale never shows.
 
     On `build_grid`'s lattices every informative cell has lattice endpoints,
     so its width is k/G (cells with p as a coordinate are silent) and L is at
-    most (d/G) * lcm(1..G).  lcm(1..G) has 136 bits at G = 100; on games with
-    hundredths for payoffs and prior, L reaches about 144 bits.  On a
-    `breakpoint_grid` of a chain with n senders and e extra points each axis
-    holds at most n + 3 + e coordinates (0, p, 1, the n + 1 indifference
-    beliefs and the extra points), so at most (n + 2 + e)^2 widths occur,
-    each a positive integer at most d, and L <= d^((n+2+e)^2).  On the
-    seed-3003 uniform draws at G = 200 no stand-in entry exceeds 65 bits.
+    most (C/G) * lcm(1..G).  lcm(1..G) has 136 bits at G = 100; on the 200
+    binary-verify benchmark games, whose payoffs and prior are hundredths, L
+    reaches 136 bits and an entry 149.  On a `breakpoint_grid` of a chain
+    with n senders and e extra points each axis holds at most n + 3 + e
+    coordinates (0, p, 1, the n + 1 indifference beliefs and the extra
+    points), so at most (n + 2 + e)^2 widths occur, each a positive integer
+    at most C, and L <= C^((n+2+e)^2).  On the seed-3003 uniform draws at
+    G = 200 no stand-in entry exceeds 57 bits.
     """
-    p = grid.prior.p
+    geometry = grid.geometry
     lows, highs = actions
-    q0s, q1s = grid.q0s[:-1], grid.q1s[1:]
-    clear = lcm(p.denominator, *(q.denominator for q in (*q0s, *q1s)))
     unit = lcm(*(u.value(s, a).denominator for s in (0, 1) for a in (0, 1)))
 
-    def times(x: Fraction, m: int) -> int:
-        """x * m, for an m that x's denominator divides."""
-        return x.numerator * (m // x.denominator)
+    def times(x: Fraction) -> int:
+        """x * unit, for an x whose denominator divides unit."""
+        return x.numerator * (unit // x.denominator)
 
-    base = [times(u.value(0, a), unit) * clear for a in (0, 1)]
-    slope = [times(u.value(1, a) - u.value(0, a), unit) for a in (0, 1)]
-
-    def payoff(q: Fraction, a: int) -> int:
-        return base[a] + times(q, clear) * slope[a]
-
-    at_p = times(p, clear)
-    belows = [(at_p - times(q0, clear)) * unit for q0 in q0s]
-    aboves = [(times(q1, clear) - at_p) * unit for q1 in q1s]
-    low_pay = [payoff(q0, a) for q0, a in zip(q0s, lows)]
-    high_pay = [payoff(q1, a) for q1, a in zip(q1s, highs[1:])]
-    silent = payoff(p, lows[-1])
-    widths = {below + above for below in belows for above in aboves}
-    span = lcm(*widths)
-    scale = {w: span // w for w in widths}
-    silent *= span
+    slope = [times(u.value(1, a) - u.value(0, a)) for a in (0, 1)]
+    at_p = [times(u.value(0, a)) * geometry.clear + geometry.at_p * slope[a] for a in (0, 1)]
+    low_pay = [at_p[a] - below * slope[a] for below, a in zip(geometry.belows, lows)]
+    aboves = geometry.aboves
+    high_pay = [at_p[a] + above * slope[a] for above, a in zip(aboves, highs[1:])]
+    silent = at_p[lows[-1]] * geometry.span
     table = [
-        [silent] + [(above * low + below * high) * scale[below + above]
-                    for above, high in zip(aboves, high_pay)]
-        for below, low in zip(belows, low_pay)
+        [silent] + [(above * low + below * high) * scale
+                    for above, high, scale in zip(aboves, high_pay, scales)]
+        for below, low, scales in zip(geometry.belows, low_pay, geometry.scales)
     ]
     table.append([silent] * len(grid.q1s))
     return table
@@ -457,44 +489,43 @@ class IcChain:
     def garble_proof(self) -> Outcomes:
         """The garble-proof cells: no intermediary strictly favours any
         contraction, credible or not, over the cell itself."""
-        proof = [[True] * len(self.core.q1s) for _ in self.core.q0s]
+        every = proof = [[True] * len(self.core.q1s) for _ in self.core.q0s]
         for idx in range(self.h.n, 1, -1):
             table = _value_table(self.h.senders[idx - 1].utility, self.actions, self.core)
-            proof = [
-                [ok and v == c for v, ok, c in zip(*rows)]
-                for rows in zip(table, proof, _cone_max(table))
-            ]
+            proof = _cone_sweep(table, every, proof)
         return Outcomes(self.grid, self.expand(proof))
 
 
-def _cone_max(table: list[list[int]]) -> list[list[int]]:
-    """M[i][j] = largest entry over the contraction cone of cell (i, j):
-    cells with weakly higher q0 index and weakly lower q1 index.
+def _cone_sweep(table: list[list[int]], within: Mask, keep: Mask) -> Mask:
+    """The cells (i, j) that ``keep`` holds and whose entry is the largest
+    over the ``within`` cells of their contraction cone: cells with weakly
+    higher q0 index and weakly lower q1 index.  One bottom-up sweep.
 
     The running maximum starts from the silent corner's entry table[-1][0],
-    the floor.  That corner lies in every cone, so the floor never exceeds a
-    cone's true maximum and every M[i][j] is exact.  `_level_sets` fills the
-    cells outside a level with the floor, which is just as exact: every
-    silent cell (last row or first column) is in every level, because its
-    cone holds only silent cells, all worth the same.  So the corner is a
-    member of every cone, the maximum over the members is at least the
-    floor, and the filler never raises it."""
+    the floor, and the cells outside ``within`` count as the floor.  That is
+    exact when ``within`` holds every silent cell (last row and first
+    column): the corner lies in every cone, so the maximum over the
+    ``within`` cells is at least the floor and the floor never raises it.
+    `_level_sets` passes level k+1 as both masks, which holds every silent
+    cell because a silent cell's cone holds only silent cells, all worth the
+    same; the garble-proof set passes every cell as ``within``."""
     floor = table[-1][0]
     below = [floor] * len(table[0])
-    m = []
-    for values in reversed(table):
+    out = []
+    for values, inside, kept in zip(reversed(table), reversed(within), reversed(keep)):
         best = floor
-        row = []
-        for v, down in zip(values, below):
+        row, flags = [], []
+        for v, down, w, k in zip(values, below, inside, kept):
             if down > best:
                 best = down
-            if v > best:
+            if w and v > best:
                 best = v
             row.append(best)
-        m.append(row)
+            flags.append(k and v == best)
+        out.append(flags)
         below = row
-    m.reverse()
-    return m
+    out.reverse()
+    return out
 
 
 def _level_sets(
@@ -504,18 +535,12 @@ def _level_sets(
     and the member mask of its level.  A cell stays in level k when it is in
     level k+1 and seat k values it at least as much as every cell of level
     k+1 in its contraction cone, so the masks only shrink.  ``actions`` is
-    `_receiver_actions` of the grid.  Cells outside level k+1 enter the cone
-    maximum as the silent value table[-1][0], which is exact (`_cone_max`)."""
+    `_receiver_actions` of the grid.  One value table and one `_cone_sweep`
+    per seat."""
     member = [[True] * len(grid.q1s) for _ in grid.q0s]
     for idx in range(h.n, first_seat - 1, -1):
         table = _value_table(h.senders[idx - 1].utility, actions, grid)
-        floor = table[-1][0]
-        ceiling = _cone_max(
-            [[v if m else floor for v, m in zip(*rows)] for rows in zip(table, member)]
-        )
-        member = [
-            [m and v == c for v, m, c in zip(*rows)] for rows in zip(table, member, ceiling)
-        ]
+        member = _cone_sweep(table, member, member)
         yield idx, member
 
 

@@ -201,12 +201,16 @@ class TestGeneralAppointment:
         with pytest.raises(NoImprovement):
             optimal_vp_general(gchain([conf("0.2"), contr("0.45")]))
 
-    def test_contrarian_first_mover_needs_the_pair(self):
-        # a single appointee aiming below the first mover's crossing turns her
-        # into a blocker; only the pair rule respects her crossing
+    def test_contrarian_first_mover_caps_the_single_appointee(self):
+        # an appointee aiming below the first mover's crossing would turn her
+        # into a blocker, so the single appointee aims at that crossing, as
+        # the pair's downward appointee does, and buys what the pair buys
         h = gchain([contr("0.18"), conf("0.25")])
-        with pytest.raises(NoImprovement):
-            optimal_vp_general(h)
+        rec = optimal_vp_general(h)
+        assert rec.rule_fired == RULE_TIGHTEN
+        assert rec.specs[0].utility == conf("0.18")
+        assert rec.after.support == (F(9, 50), F(17, 25))
+        assert rec.receiver_gain == optimal_two_vps(h).receiver_gain == F(91, 5000)
 
     def test_intermediary_contrarian_caps_the_single_appointee(self):
         rec = optimal_vp_general(gchain([conf("0.25"), contr("0.18"), conf("0.58")]))
@@ -219,17 +223,17 @@ class TestGeneralAppointment:
         # seed 3003's draw 106: one contrarian sender, so the chain transmits
         # the cut pinned at the receiver's crossing, 31/100 in the canonical
         # frame, and has no pivot; that crossing stands in for the pivot's.
-        # A single appointee aims below the sender's canonical crossing
-        # 19/100 and gains nothing; the pair caps the cut at it
+        # The single appointee and the pair's downward one both aim at the
+        # sender's canonical crossing 19/100, which caps the cut there
         h = gchain([contr("0.81")], receiver=conf("0.69"))
         before = solve_general_uniform(h)
         assert (before.condition_trace, before.pivotal) == ("r", None)
-        with pytest.raises(NoImprovement, match="appending an appointee cannot"):
-            optimal_vp_general(h)
-        rec = optimal_two_vps(h)
-        canonical = rec.after.relabeling.support_back(rec.after.support)
-        assert canonical == (F(19, 100), F(69, 100))
-        assert rec.receiver_gain == F(57, 1250)
+        single, pair = optimal_vp_general(h), optimal_two_vps(h)
+        assert single.rule_fired == RULE_TIGHTEN
+        for rec in (single, pair):
+            canonical = rec.after.relabeling.support_back(rec.after.support)
+            assert canonical == (F(19, 100), F(69, 100))
+            assert rec.receiver_gain == F(57, 1250)
 
     def test_extremist_receiver_gains_nothing(self):
         h = gchain(CASE_C, receiver=linear_utility(1, F(1, 10)))
@@ -366,7 +370,7 @@ class TestRandomizedInvariants:
                     _means_value(h.receiver.utility, _respond_to_means(extended, *pair))
                     for pair in pairs
                 } == {rec.after.values[-1]}, (h, recommend.__name__)
-        assert (pinned, recommended) == (86, 167)
+        assert (pinned, recommended) == (86, 172)
 
     def test_general_appointments(self):
         rng = random.Random(8235)

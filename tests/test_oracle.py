@@ -264,42 +264,141 @@ class TestLevelSets:
         assert set(ch.levels[2]) == set(grid20.outcomes)
         assert set(ch.garble_proof) <= set(ch.levels[2])
 
-    def test_cone_max_matches_a_brute_force_maximum(self):
-        # small value ranges make ties common; the floor at the silent corner
-        # is exact because that corner lies in every cone
+    def test_cone_sweep_matches_a_brute_force_maximum(self):
+        # small value ranges make ties common; a cell is kept when ``keep``
+        # holds it and its entry is the largest over the floor (the silent
+        # corner's entry) and the ``within`` cells of its cone
         rng = random.Random(12)
         for _ in range(300):
             rows, cols = rng.randint(1, 6), rng.randint(1, 6)
             table = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-            want = [[max(table[a][b] for a in range(i, rows) for b in range(j + 1))
-                     for j in range(cols)] for i in range(rows)]
-            assert oracle._cone_max(table) == want, table
+            within, keep = ([[rng.random() < 0.7 for _ in range(cols)] for _ in range(rows)]
+                            for _ in range(2))
+            for inside, kept in [(within, keep), (within, within), ([[True] * cols] * rows, keep)]:
+                best = [[max([table[-1][0]] + [table[a][b] for a in range(i, rows)
+                                               for b in range(j + 1) if inside[a][b]])
+                         for j in range(cols)] for i in range(rows)]
+                want = [[kept[i][j] and table[i][j] == best[i][j] for j in range(cols)]
+                        for i in range(rows)]
+                assert oracle._cone_sweep(table, inside, kept) == want, (table, inside, kept)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_proof_set_is_built_only_when_read(self, monkeypatch, grid20, n):
-        # the levels need one value table and one cone maximum per seat
-        # n..2; the garble-proof set builds its own, and only when read
+        # the levels need one value table and one cone sweep per seat n..2,
+        # within and keeping the level before; the garble-proof set builds
+        # its own, within every cell, and only when read
         senders = [conformist_table(F(k, 20)) for k in (3, 5, 7, 9)[:n]]
         h = hierarchy(senders, conformist_table(F(2, 5)), P)
         want = ic_chain(h, grid20).garble_proof.mask
-        calls = []
+        calls, sweeps = [], []
 
         def counting(name):
             inner = getattr(oracle, name)
 
             def counted(*args):
                 calls.append(name)
+                if name == "_cone_sweep":
+                    _, within, keep = args
+                    sweeps.append((within is keep, all(map(all, within))))
                 return inner(*args)
 
             monkeypatch.setattr(oracle, name, counted)
 
         counting("_value_table")
-        counting("_cone_max")
+        counting("_cone_sweep")
         ch = ic_chain(h, grid20)
         assert len(ch.levels) == n - 1
-        assert (calls.count("_value_table"), calls.count("_cone_max")) == (n - 1, n - 1)
+        assert calls == ["_value_table", "_cone_sweep"] * (n - 1)
+        assert all(same for same, _ in sweeps)
         assert ch.garble_proof.mask == want
-        assert (calls.count("_value_table"), calls.count("_cone_max")) == (2 * n - 2, 2 * n - 2)
+        assert calls == ["_value_table", "_cone_sweep"] * (2 * n - 2)
+        assert all(every for _, every in sweeps[n - 1:])
+
+
+def _tied_games(rng, resolution, count):
+    """Chains on the 1/resolution lattice whose thresholds come from a pool
+    of two lattice points and sometimes the prior, so seats tie with one
+    another, with the receiver and with the prior; relaxed validation."""
+    kinds = [conformist_table, contrarian_table, zero_extremist_table, one_extremist_table]
+    lattice = [F(k, resolution) for k in range(1, resolution)]
+    games = []
+    while len(games) < count:
+        p = rng.choice(lattice)
+        pool = rng.sample(lattice, 2) + [p] * rng.randint(0, 1)
+        senders = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(kinds)
+            senders.append(kind(rng.choice(pool)) if kind in kinds[:2] else kind())
+        receiver = rng.choice(kinds[:2])(rng.choice(pool))
+        try:
+            games.append(hierarchy(senders, receiver, BinaryPrior(p), strict=False))
+        except ChainError:
+            continue
+    return games
+
+
+def _levels_by_definition(h, grid):
+    """Level masks and the garble-proof mask over the whole grid, from the
+    definition: each seat values every cell by `outcome_value` in
+    `Fraction`s, and every cell is compared with every cell (q0', q1') of
+    the grid with q0 <= q0' and q1' <= q1, its contraction cone.  No integer
+    table and no sweep."""
+    act = action_rule(h)
+    cells = [(q0, q1) for q0 in grid.q0s for q1 in grid.q1s]
+    cone = {c: [d for d in cells if c[0] <= d[0] and d[1] <= c[1]] for c in cells}
+    values = {k: {c: outcome_value(h.senders[k - 1].utility, make_outcome(*c, h.prior), act)
+                  for c in cells}
+              for k in range(2, h.n + 1)}
+    level, levels = set(cells), {}
+    for k in range(h.n, 1, -1):
+        v = values[k]
+        level = {c for c in level if all(v[d] <= v[c] for d in cone[c] if d in level)}
+        levels[k] = [[(q0, q1) in level for q1 in grid.q1s] for q0 in grid.q0s]
+    proof = [[all(v[d] <= v[(q0, q1)] for v in values.values() for d in cone[(q0, q1)])
+              for q1 in grid.q1s] for q0 in grid.q0s]
+    return levels, proof
+
+
+class TestLevelSetsByDefinition:
+    """`ic_chain`'s masks, built from integer tables and one cone sweep per
+    seat on the grid's core, against the definition enumerated cell pair by
+    cell pair in `Fraction`s."""
+
+    # an extremist between two conformists, the first at three places, two of
+    # them ties (with the third seat and with the receiver): chains whose
+    # garble-proof set is smaller than level 2, which random draws rarely give
+    SANDWICHES = [
+        hierarchy([conformist_table(first), zero_extremist_table(), conformist_table(F(1, 5))],
+                  conformist_table(F(2, 5)), P, strict=False)
+        for first in (F(1, 5), F(3, 10), F(2, 5))
+    ]
+
+    @staticmethod
+    def assert_definition(h, grid) -> bool:
+        """Assert the chain's masks are the definition's; whether the
+        garble-proof set is smaller than level 2."""
+        levels, proof = _levels_by_definition(h, grid)
+        chain = ic_chain(h, grid)
+        assert {k: level.mask for k, level in chain.levels.items()} == levels, h
+        assert chain.garble_proof.mask == proof, h
+        return 2 in levels and proof != levels[2]
+
+    @pytest.mark.parametrize("resolution", [4, 7, 10, 12])
+    def test_small_lattices(self, resolution):
+        rng = random.Random(resolution)
+        smaller = [self.assert_definition(h, build_grid(h.prior, resolution))
+                   for h in [*_tied_games(rng, resolution, 30), *self.SANDWICHES]]
+        assert any(smaller)
+
+    def test_breakpoint_grids_with_ties(self):
+        rng = random.Random(28)
+        smaller = [self.assert_definition(h, breakpoint_grid(h)) for h in self.SANDWICHES]
+        for resolution in (5, 8, 12):
+            for h in _tied_games(rng, resolution, 30):
+                self.assert_definition(h, breakpoint_grid(h))
+                extra = rng.sample([F(k, 2 * resolution) for k in range(1, 2 * resolution)], 2)
+                self.assert_definition(h, breakpoint_grid(h, *extra))
+        assert any(smaller)
 
 
 class TestGridEquilibria:
@@ -463,23 +562,16 @@ class TestInformativeCore:
     @staticmethod
     def full_grid_reference(h, grid):
         """Level masks, garble-proof mask and SPE of the whole grid, with
-        every table and cone maximum over every cell."""
+        every table and cone sweep over every cell."""
         actions = oracle._receiver_actions(h, grid)
         tables = {k: oracle._value_table(h.senders[k - 1].utility, actions, grid)
                   for k in range(1, h.n + 1)}
-        member = [[True] * len(grid.q1s) for _ in grid.q0s]
-        proof = [[True] * len(grid.q1s) for _ in grid.q0s]
+        every = [[True] * len(grid.q1s) for _ in grid.q0s]
+        member = proof = every
         masks = {}
         for k in range(h.n, 1, -1):
-            table, floor = tables[k], tables[k][-1][0]
-            ceiling = oracle._cone_max(
-                [[v if m else floor for v, m in zip(*rows)] for rows in zip(table, member)]
-            )
-            member = [[m and v == c for v, m, c in zip(*rows)]
-                      for rows in zip(table, member, ceiling)]
-            masks[k] = member
-            proof = [[ok and v == c for v, ok, c in zip(*rows)]
-                     for rows in zip(table, proof, oracle._cone_max(table))]
+            member = masks[k] = oracle._cone_sweep(tables[k], member, member)
+            proof = oracle._cone_sweep(tables[k], every, proof)
         lows, highs = actions
         cells = [(i, j) for i, j in grid.cells() if h.n == 1 or masks[2][i][j]]
         value = tables[1]
