@@ -371,11 +371,11 @@ def _value_table(u: TableUtility, actions: Actions, grid: OutcomeGrid) -> list[l
         return x.numerator * (unit // x.denominator)
 
     slope = [times(u.value(1, a) - u.value(0, a)) for a in (0, 1)]
-    at_p = [times(u.value(0, a)) * geometry.clear + geometry.at_p * slope[a] for a in (0, 1)]
-    low_pay = [at_p[a] - below * slope[a] for below, a in zip(geometry.belows, lows)]
+    pay_at_p = [times(u.value(0, a)) * geometry.clear + geometry.at_p * slope[a] for a in (0, 1)]
+    low_pay = [pay_at_p[a] - below * slope[a] for below, a in zip(geometry.belows, lows)]
     aboves = geometry.aboves
-    high_pay = [at_p[a] + above * slope[a] for above, a in zip(aboves, highs[1:])]
-    silent = at_p[lows[-1]] * geometry.span
+    high_pay = [pay_at_p[a] + above * slope[a] for above, a in zip(aboves, highs[1:])]
+    silent = pay_at_p[lows[-1]] * geometry.span
     table = [
         [silent] + [(above * low + below * high) * scale
                     for above, high, scale in zip(aboves, high_pay, scales)]
