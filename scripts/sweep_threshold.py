@@ -29,7 +29,7 @@ from infochain import (
     TableUtility,
     ThresholdCollision,
     ValidationError,
-    classify_spec,
+    classify,
     conformist_table,
     contrarian_table,
     hierarchy,
@@ -50,7 +50,7 @@ def reseat(h: HierarchySpec, seat: str, threshold: Fraction) -> HierarchySpec:
     if isinstance(u, LinearUtility):
         replacement = AgentSpec(linear_utility(u.alpha, -u.alpha * threshold), spec.label)
     elif isinstance(u, TableUtility):
-        kind = classify_spec(spec, h.prior).kind
+        kind = classify(u, h.prior).kind
         if kind.is_extremist:
             raise SystemExit(f"seat {seat} is an extremist; it has no threshold to sweep")
         build = conformist_table if kind.value == "conformist" else contrarian_table

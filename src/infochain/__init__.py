@@ -43,13 +43,10 @@ from .agents import (
     ThresholdCollision,
     ValidationError,
     canonicalize_receiver,
-    classify_binary,
-    classify_linear,
-    classify_spec,
+    classify,
     conformist_table,
     contrarian_table,
     hierarchy,
-    indifference_belief,
     linear_utility,
     one_extremist_table,
     pivotal_binary,

@@ -205,48 +205,36 @@ class AgentClass:
     threshold: Optional[Fraction] = None
 
 
-def indifference_belief(u: TableUtility) -> Fraction:
-    """Belief at which the agent is indifferent between actions; may fall
-    outside [0,1], which flags an extremist."""
-    d0 = u.u00 - u.u01
-    d1 = u.u11 - u.u10
-    if d0 + d1 == 0:
-        raise DegenerateAgent("action preference never switches (d0 + d1 = 0)")
-    return d0 / (d0 + d1)
+def classify(u: Utility, prior: Union[BinaryPrior, UniformPrior]) -> AgentClass:
+    """Taxonomy slot of an agent, read off its gain from action 1, the line
+    a + b * x in the posterior x (table agent, binary prior) or the posterior
+    mean x (linear agent, uniform prior).
 
-
-def classify_binary(u: TableUtility, prior: BinaryPrior) -> AgentClass:
-    """Taxonomy slot of a table agent under a binary prior.
-
-    Non-extremists must have a threshold strictly inside (0,1) and away from
-    the prior; collisions are ingestion errors, not silently perturbed.
+    The threshold is -a/b.  It must avoid 0, 1 and the prior's centre (p, or
+    1/2): collisions are ingestion errors, not silently perturbed.  Outside
+    (0, 1) the gain keeps one sign and the agent is the extremist of that
+    sign; inside, she conforms when b > 0 and is contrarian when b < 0.
     """
-    p = prior.p
-    d1 = u.u11 - u.u10
-    mu = indifference_belief(u)
-    if mu <= 0 or mu >= 1:
-        if mu in (Fraction(0), Fraction(1)):
-            raise ThresholdCollision(f"threshold sits on the boundary: {mu}")
-        kind = Kind.ONE_EXTREMIST if d1 > 0 else Kind.ZERO_EXTREMIST
-        return AgentClass(kind=kind)
-    if mu == p:
-        raise ThresholdCollision(f"threshold collides with prior {p}")
-    kind = Kind.CONFORMIST if d1 > 0 else Kind.CONTRARIAN
-    return AgentClass(kind=kind, threshold=mu)
-
-
-def classify_linear(u: LinearUtility) -> AgentClass:
-    """Taxonomy slot of a linear agent under the uniform prior."""
-    w = u.crossing
-    if w in (Fraction(0), HALF, Fraction(1)):
-        raise ThresholdCollision(f"indifference mean collides with {{0, 1/2, 1}}: {w}")
-    if w < 0 or w > 1:
-        # the action premium keeps one sign on all of [0,1]
-        sign = u.gain_of_action1(HALF)
-        kind = Kind.ONE_EXTREMIST if sign > 0 else Kind.ZERO_EXTREMIST
-        return AgentClass(kind=kind)
-    kind = Kind.CONFORMIST if u.alpha > 0 else Kind.CONTRARIAN
-    return AgentClass(kind=kind, threshold=w)
+    if isinstance(u, TableUtility):
+        if not isinstance(prior, BinaryPrior):
+            raise ValidationError("table utilities need a binary prior")
+        a = u.u01 - u.u00
+        b = u.u11 - u.u10 - a
+        centre = prior.p
+    else:
+        if not isinstance(prior, UniformPrior):
+            raise ValidationError("linear utilities need the uniform prior")
+        a, b, centre = u.beta, u.alpha, HALF
+    if b == 0:
+        raise DegenerateAgent("action preference never switches (d0 + d1 = 0)")
+    t = -a / b
+    if t == 0 or t == 1:
+        raise ThresholdCollision(f"threshold sits on the boundary: {t}")
+    if t == centre:
+        raise ThresholdCollision(f"threshold collides with prior {centre}")
+    if not 0 < t < 1:
+        return AgentClass(Kind.ONE_EXTREMIST if a + b * centre > 0 else Kind.ZERO_EXTREMIST)
+    return AgentClass(Kind.CONFORMIST if b > 0 else Kind.CONTRARIAN, t)
 
 
 def reclassify_under_support(agent: AgentClass, m0: NumberLike, m1: NumberLike) -> AgentClass:
@@ -308,16 +296,6 @@ class HierarchySpec:
         ) + (self.receiver.label or RECEIVER,)
 
 
-def classify_spec(spec: AgentSpec, prior: Union[BinaryPrior, UniformPrior]) -> AgentClass:
-    if isinstance(spec.utility, TableUtility):
-        if not isinstance(prior, BinaryPrior):
-            raise ValidationError("table utilities need a binary prior")
-        return classify_binary(spec.utility, prior)
-    if not isinstance(prior, UniformPrior):
-        raise ValidationError("linear utilities need the uniform prior")
-    return classify_linear(spec.utility)
-
-
 def hierarchy(
     senders,
     receiver,
@@ -345,8 +323,7 @@ def hierarchy(
         raise ValidationError("a chain needs at least one sender")
     receiver_spec = wrap(receiver)
     h = HierarchySpec(senders=sender_specs, receiver=receiver_spec, prior=prior)
-    classes = [classify_spec(s, prior) for s in sender_specs]
-    classes.append(classify_spec(receiver_spec, prior))
+    classes = [classify(s.utility, prior) for s in (*sender_specs, receiver_spec)]
     if strict:
         _require_distinct("thresholds", [cls.threshold for cls in classes], str)
         _require_distinct("labels", h.labels, repr)
@@ -369,11 +346,11 @@ def _require_distinct(what: str, values, show: Callable) -> None:
 
 
 def sender_classes(h: HierarchySpec) -> list[AgentClass]:
-    return [classify_spec(s, h.prior) for s in h.senders]
+    return [classify(s.utility, h.prior) for s in h.senders]
 
 
 def receiver_class(h: HierarchySpec) -> AgentClass:
-    return classify_spec(h.receiver, h.prior)
+    return classify(h.receiver.utility, h.prior)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ class PriorMismatch(ChainError):
 
 
 class DimensionMismatch(ChainError):
-    """Experiment shapes do not line up for composition."""
+    """An experiment matrix is not 2x2."""
 
 
 class ZeroProbabilitySignal(ChainError):
@@ -155,29 +155,22 @@ def is_mpc(inner: BinaryOutcome, outer: BinaryOutcome) -> bool:
 
 @dataclass(frozen=True)
 class Experiment:
-    """Row-stochastic signal structure.  Rows index inputs, columns outputs."""
+    """Row-stochastic 2x2 signal structure: row s holds the signal
+    probabilities given state (or incoming signal) s.  Two actions never need
+    more than two signals, so no other shape is accepted."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
     def __post_init__(self) -> None:
-        if not self.rows:
-            raise DimensionMismatch("experiment needs at least one row")
-        width = len(self.rows[0])
+        if len(self.rows) != 2 or any(len(row) != 2 for row in self.rows):
+            raise DimensionMismatch(
+                f"an experiment is 2x2, got rows of lengths {[len(row) for row in self.rows]}"
+            )
         for row in self.rows:
-            if len(row) != width:
-                raise DimensionMismatch("ragged experiment matrix")
             if any(entry < 0 for entry in row):
                 raise OrderViolation("experiment entries must be non-negative")
             if sum(row) != 1:
                 raise OrderViolation(f"experiment row {row} does not sum to 1")
-
-    @property
-    def n_inputs(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n_outputs(self) -> int:
-        return len(self.rows[0])
 
 
 def experiment(rows: Sequence[Sequence[NumberLike]]) -> Experiment:
@@ -186,6 +179,7 @@ def experiment(rows: Sequence[Sequence[NumberLike]]) -> Experiment:
 
 
 def identity_experiment(k: int = 2) -> Experiment:
+    """The fully revealing k-signal experiment; only k = 2 has a valid shape."""
     return Experiment(
         tuple(
             tuple(Fraction(1) if i == j else Fraction(0) for j in range(k))
@@ -200,21 +194,9 @@ def compose(first: Experiment, second: Experiment) -> Experiment:
     Garbling never creates information: composing with anything is weakly
     Blackwell-decreasing, and composing with the identity is a no-op.
     """
-    if first.n_outputs != second.n_inputs:
-        raise DimensionMismatch(
-            f"cannot chain a {first.n_outputs}-signal experiment into one "
-            f"expecting {second.n_inputs} inputs"
-        )
-    return Experiment(
-        tuple(
-            tuple(
-                sum((first.rows[i][j] * second.rows[j][k] for j in range(first.n_outputs)),
-                    Fraction(0))
-                for k in range(second.n_outputs)
-            )
-            for i in range(first.n_inputs)
-        )
-    )
+    (a, b), (c, d) = first.rows
+    (e, f), (g, h) = second.rows
+    return Experiment(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
 
 
 def outcome_of_experiment(prior: BinaryPrior, pi: Experiment) -> BinaryOutcome:
@@ -225,8 +207,6 @@ def outcome_of_experiment(prior: BinaryPrior, pi: Experiment) -> BinaryOutcome:
     and the outcome is the (sorted) pair of posteriors.  Raises
     ZeroProbabilitySignal if some signal never occurs.
     """
-    if pi.n_inputs != 2 or pi.n_outputs != 2:
-        raise DimensionMismatch("posterior extraction expects a 2x2 experiment")
     p = prior.p
     posteriors = []
     for s in range(2):

@@ -53,7 +53,7 @@ from .agents import (
     Relabeling,
     ValidationError,
     canonicalize_receiver,
-    classify_linear,
+    classify,
     pivotal_rule,
     receiver_class,
     receiver_rule,
@@ -168,7 +168,7 @@ def solve_subgame_given_support(
     if rule(m0) or not rule(m1):
         return None  # the receiver cannot split on this range
     classes = [
-        reclassify_under_support(classify_linear(s.utility), m0, m1)
+        reclassify_under_support(classify(s.utility, h.prior), m0, m1)
         for s in h.senders[1:]
     ]
     _, kind, _, split = pivotal_rule(classes, (w_r - m0) / (m1 - m0))

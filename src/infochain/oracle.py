@@ -572,19 +572,27 @@ def solve_spe_grid(
     answers with her action at the prior: informative in name only, each is
     worth the silent value to player 1 too, so the silent corner, which the
     core keeps, stands for them all, and every kept informative cell really
-    moves her action."""
+    moves her action.  One pass over her value table's rows and the level-2
+    mask (every cell passes a one-sender chain) reads the ``cells()``: the
+    informative columns of every row but the last, then the silent corner."""
     if chain is None:
         chain = ic_chain(h, grid)
     core = chain.core
-    cells = core.cells()
-    if 2 in chain.core_masks:
-        member = chain.core_masks[2]
-        cells = [(i, j) for i, j in cells if member[i][j]]
-    if not cells:
-        raise EmptyLevelSet("no passable outcome for player 1")
     value = _value_table(h.senders[0].utility, chain.actions, core)
-    best = max(value[i][j] for i, j in cells)
-    arg = [(i, j) for i, j in cells if value[i][j] == best]
+    member = chain.core_masks.get(2)
+    last = len(value) - 1
+    best, arg = None, []
+    for i, row in enumerate(value):
+        for j in (range(1, len(row)) if i < last else (0,)):
+            if member and not member[i][j]:
+                continue
+            v = row[j]
+            if best is None or v > best:
+                best, arg = v, [(i, j)]
+            elif v == best:
+                arg.append((i, j))
+    if not arg:
+        raise EmptyLevelSet("no passable outcome for player 1")
     # cells are ordered like their coordinates, so the staircase runs on them
     return list(core.outcomes_at(_staircase(arg)))
 

@@ -530,10 +530,10 @@ def test_criterion_8_structural_laws_hold(announce):
     assert not is_mpc(full_information(prior), mid)
 
     # (c) affine invariance of the indifference point
-    from infochain import indifference_belief, table_utility
+    from infochain import classify, table_utility
     u = conformist_table(F(7, 20))
     moved = table_utility(*(5 * x - F(2, 3) for x in (u.u00, u.u10, u.u01, u.u11)))
-    assert indifference_belief(moved) == indifference_belief(u) == F(7, 20)
+    assert classify(moved, prior).threshold == classify(u, prior).threshold == F(7, 20)
 
     # (d) finite-difference signs around the first-mover peak
     u1 = linear_utility(1, -F(2, 5))

@@ -1,4 +1,4 @@
-"""Agent taxonomy: indifference beliefs, classification, reclassification,
+"""Agent taxonomy: thresholds, classification, reclassification,
 frame normalization, and pivotal-player identification."""
 from __future__ import annotations
 
@@ -18,12 +18,10 @@ from infochain import (
     UniformPrior,
     ValidationError,
     canonicalize_receiver,
-    classify_binary,
-    classify_linear,
+    classify,
     conformist_table,
     contrarian_table,
     hierarchy,
-    indifference_belief,
     linear_utility,
     pivotal_binary,
     pivotal_general,
@@ -36,84 +34,138 @@ from infochain import (
 
 
 P = BinaryPrior(F(3, 5))
+U = UniformPrior()
 
 
 class TestIndifferenceBelief:
     def test_quadratic_bias(self):
-        assert indifference_belief(quadratic_loss_table(F(1, 5))) == F(3, 5)
+        assert classify(quadratic_loss_table(F(1, 5)), BinaryPrior(F(1, 2))).threshold == F(3, 5)
 
     def test_zero_threshold(self):
         u = table_utility(1, 0, 1, 2)  # u00 == u01, action 1 better in state 1
-        assert indifference_belief(u) == 0
+        with pytest.raises(ThresholdCollision, match="threshold sits on the boundary: 0"):
+            classify(u, P)
 
     def test_outside_unit_interval(self):
-        assert indifference_belief(table_utility(2, 1, 0, 0)) == 2
+        # indifferent at belief 2: action 0 is better at every posterior
+        assert classify(table_utility(2, 1, 0, 0), P) == AgentClass(Kind.ZERO_EXTREMIST)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateAgent):
-            indifference_belief(table_utility(1, 1, 2, 2))
+            classify(table_utility(1, 1, 2, 2), P)
 
 
 class TestClassifyBinary:
     def test_always_action_zero(self):
-        c = classify_binary(quadratic_loss_table(F(3, 2)), P)
+        c = classify(quadratic_loss_table(F(3, 2)), P)
         assert c.kind is Kind.ZERO_EXTREMIST
 
     def test_conformist_with_bias(self):
-        c = classify_binary(quadratic_loss_table(F(-3, 5)), P)
+        c = classify(quadratic_loss_table(F(-3, 5)), P)
         assert (c.kind, c.threshold) == (Kind.CONFORMIST, F(1, 5))
 
     def test_contrarian(self):
-        c = classify_binary(contrarian_table(F(1, 2)), P)
+        c = classify(contrarian_table(F(1, 2)), P)
         assert (c.kind, c.threshold) == (Kind.CONTRARIAN, F(1, 2))
 
     def test_collision_with_prior(self):
         with pytest.raises(ThresholdCollision):
-            classify_binary(conformist_table(P.p), P)
+            classify(conformist_table(P.p), P)
 
 
 class TestClassifyLinear:
     def test_conformist(self):
-        c = classify_linear(linear_utility(1, F(-1, 5)))
+        c = classify(linear_utility(1, F(-1, 5)), U)
         assert (c.kind, c.threshold) == (Kind.CONFORMIST, F(1, 5))
 
     def test_contrarian(self):
-        c = classify_linear(linear_utility(-1, F(3, 10)))
+        c = classify(linear_utility(-1, F(3, 10)), U)
         assert (c.kind, c.threshold) == (Kind.CONTRARIAN, F(3, 10))
 
     def test_absolute_extremist(self):
-        c = classify_linear(linear_utility(1, F(-6, 5)))
+        c = classify(linear_utility(1, F(-6, 5)), U)
         assert c.kind is Kind.ZERO_EXTREMIST
 
     def test_midpoint_collision(self):
         with pytest.raises(ThresholdCollision):
-            classify_linear(linear_utility(1, F(-1, 2)))
+            classify(linear_utility(1, F(-1, 2)), U)
 
     def test_quadratic_and_linear_agree(self):
         for t in (F(1, 5), F(3, 10), F(7, 10)):
-            ct = classify_binary(quadratic_loss_table(2 * t - 1), P)
-            cl = classify_linear(linear_utility(1, -t))
+            ct = classify(quadratic_loss_table(2 * t - 1), P)
+            cl = classify(linear_utility(1, -t), U)
             assert (ct.kind, ct.threshold) == (cl.kind, cl.threshold)
+
+
+class TestRefusals:
+    """Every refusal of the taxonomy, reached through `hierarchy`."""
+
+    RECEIVER = {"binary": conformist_table(F(2, 5)), "uniform": linear_utility(1, F(-3, 10))}
+    PRIOR = {"binary": P, "uniform": U}
+
+    @pytest.mark.parametrize("family, agent, t", [
+        ("binary", table_utility(1, 0, 1, 2), 0),
+        ("binary", table_utility(1, 1, 0, 1), 1),
+        ("uniform", linear_utility(1, 0), 0),
+        ("uniform", linear_utility(-1, 1), 1),
+    ])
+    def test_boundary_collision(self, family, agent, t):
+        with pytest.raises(ThresholdCollision, match=f": {t}$"):
+            hierarchy([agent], self.RECEIVER[family], self.PRIOR[family])
+
+    @pytest.mark.parametrize("family, agent", [
+        ("binary", conformist_table(P.p)),
+        ("binary", contrarian_table(P.p)),
+        ("uniform", linear_utility(1, F(-1, 2))),
+        ("uniform", linear_utility(-1, F(1, 2))),
+    ])
+    def test_prior_collision(self, family, agent):
+        with pytest.raises(ThresholdCollision, match="1/2$" if family == "uniform" else "3/5$"):
+            hierarchy([agent], self.RECEIVER[family], self.PRIOR[family])
+
+    def test_binary_messages(self):
+        with pytest.raises(ThresholdCollision, match="threshold sits on the boundary: 0"):
+            hierarchy([table_utility(1, 0, 1, 2)], self.RECEIVER["binary"], P)
+        with pytest.raises(ThresholdCollision, match="threshold collides with prior 3/5"):
+            hierarchy([conformist_table(P.p)], self.RECEIVER["binary"], P)
+
+    def test_zero_slope_table(self):
+        with pytest.raises(DegenerateAgent):
+            hierarchy([table_utility(1, 1, 2, 2)], self.RECEIVER["binary"], P)
+        with pytest.raises(DegenerateAgent):
+            hierarchy([conformist_table(F(1, 4))], table_utility(0, 3, 0, 3), P)
+
+    def test_zero_slope_linear(self):
+        with pytest.raises(DegenerateAgent):
+            linear_utility(0, 1)
+
+    def test_table_under_a_uniform_prior(self):
+        with pytest.raises(ValidationError, match="table utilities need a binary prior"):
+            hierarchy([conformist_table(F(1, 4))], self.RECEIVER["uniform"], U)
+
+    def test_linear_under_a_binary_prior(self):
+        with pytest.raises(ValidationError, match="linear utilities need the uniform prior"):
+            hierarchy([linear_utility(1, F(-1, 5))], self.RECEIVER["binary"], P)
 
 
 class TestReclassify:
     def test_interior_stays(self):
-        c = classify_linear(linear_utility(1, F(-1, 5)))
+        c = classify(linear_utility(1, F(-1, 5)), U)
         r = reclassify_under_support(c, F(1, 10), F(3, 5))
         assert (r.kind, r.threshold) == (Kind.CONFORMIST, F(1, 5))
 
     def test_conformist_below_support(self):
-        c = classify_linear(linear_utility(1, F(-1, 5)))
+        c = classify(linear_utility(1, F(-1, 5)), U)
         r = reclassify_under_support(c, F(3, 10), F(4, 5))
         assert r.kind is Kind.ONE_EXTREMIST
 
     def test_conformist_above_support(self):
-        c = classify_linear(linear_utility(1, F(-29, 50)))
+        c = classify(linear_utility(1, F(-29, 50)), U)
         r = reclassify_under_support(c, F(1, 10), F(1, 2))
         assert r.kind is Kind.ZERO_EXTREMIST
 
     def test_contrarian_conversion_reversed(self):
-        c = classify_linear(linear_utility(-1, F(1, 5)))
+        c = classify(linear_utility(-1, F(1, 5)), U)
         below = reclassify_under_support(c, F(3, 10), F(4, 5))
         above = reclassify_under_support(c, F(1, 100), F(1, 10))
         assert below.kind is Kind.ZERO_EXTREMIST
@@ -121,12 +173,12 @@ class TestReclassify:
 
     def test_full_support_is_identity(self):
         for u in (linear_utility(1, F(-1, 5)), linear_utility(-1, F(3, 10))):
-            c = classify_linear(u)
+            c = classify(u, U)
             r = reclassify_under_support(c, 0, 1)
             assert (r.kind, r.threshold) == (c.kind, c.threshold)
 
     def test_boundary_keeps_degenerate_threshold(self):
-        c = classify_linear(linear_utility(1, F(-1, 5)))
+        c = classify(linear_utility(1, F(-1, 5)), U)
         r = reclassify_under_support(c, F(1, 5), F(7, 10))
         assert (r.kind, r.threshold) == (Kind.CONFORMIST, F(0))
 
@@ -181,13 +233,13 @@ class TestCanonicalFrame:
         h = hierarchy([conformist_table(F(1, 4))], conformist_table(F(7, 10)), P)
         canon, rel = canonicalize_receiver(h)
         assert rel.flip_action and rel.flip_state
-        rc = classify_binary(canon.receiver.utility, canon.prior)
+        rc = classify(canon.receiver.utility, canon.prior)
         assert rc.kind is Kind.CONFORMIST and rc.threshold < canon.prior.p
 
     def test_contrarian_flip(self):
         h = hierarchy([conformist_table(F(1, 4))], contrarian_table(F(2, 5)), P)
         canon, rel = canonicalize_receiver(h)
-        rc = classify_binary(canon.receiver.utility, canon.prior)
+        rc = classify(canon.receiver.utility, canon.prior)
         assert rc.kind is Kind.CONFORMIST
 
     def test_round_trip_support(self):

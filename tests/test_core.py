@@ -8,6 +8,7 @@ import pytest
 import infochain
 from infochain import (
     BinaryPrior,
+    DimensionMismatch,
     OrderViolation,
     PriorMismatch,
     UniformPrior,
@@ -117,6 +118,15 @@ class TestExperiments:
         pi = experiment([[1, 0], [1, 0]])
         with pytest.raises(ZeroProbabilitySignal):
             outcome_of_experiment(P, pi)
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [[F(1, 2), F(1, 2)], [1]],
+        [[1, 0], [F(1, 3), F(1, 3), F(1, 3)]],
+    ], ids=["empty", "ragged", "ragged-wide"])
+    def test_malformed_shape_rejected(self, rows):
+        with pytest.raises(DimensionMismatch):
+            experiment(rows)
 
     def test_row_sum_validated(self):
         with pytest.raises(Exception):

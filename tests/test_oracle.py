@@ -22,6 +22,7 @@ from infochain import (
     BinaryOutcome,
     BinaryPrior,
     ChainError,
+    DimensionMismatch,
     HierarchySpec,
     IntervalCut,
     OutcomeGrid,
@@ -45,6 +46,8 @@ from infochain import (
     mpc_feasible_uniform,
     no_information,
     one_extremist_table,
+    outcome_of_experiment,
+    seat_values,
     solve_binary,
     solve_general_grid,
     solve_general_uniform,
@@ -1284,6 +1287,21 @@ class TestMonteCarlo:
             monte_carlo(uniform, [identity_experiment(), identity_experiment()], 100, seed=1)
         with pytest.raises(ChainError, match="2x2 Experiment"):
             monte_carlo(uniform, [IntervalCut(F(8, 25)), IntervalCut(F(1, 2))], 100, seed=1)
+
+    def test_three_signal_experiments_are_refused(self):
+        # two actions need two signals; a third column once reached the
+        # simulation, which read only column 1 and moved every seat's mean
+        # to about -0.60 where the same information in two signals gives
+        # seat_values
+        h = hierarchy([conformist_table(F(1, 5))], conformist_table(F(1, 2)), BinaryPrior(F(3, 5)))
+        for rows in ([[F(1, 2), 0, F(1, 2)], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]):
+            with pytest.raises(DimensionMismatch):
+                experiment(rows)
+        same = experiment([[F(1, 2), F(1, 2)], [0, 1]])
+        rep = monte_carlo(h, [same], 10**4, seed=5)
+        exact = seat_values(h, outcome_of_experiment(h.prior, same))
+        for mean, se, value in zip(rep.means, rep.stderrs, exact):
+            assert abs(mean - float(value)) <= 3 * se
 
     def test_no_information_baseline(self):
         h = hierarchy(

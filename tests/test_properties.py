@@ -16,7 +16,7 @@ from infochain import (
     AgentSpec,
     BinaryPrior,
     UniformPrior,
-    classify_binary,
+    classify,
     compose,
     conformist_table,
     contrarian_table,
@@ -25,7 +25,6 @@ from infochain import (
     full_information,
     hierarchy,
     identity_experiment,
-    indifference_belief,
     is_mpc,
     linear_utility,
     make_outcome,
@@ -123,11 +122,12 @@ class TestUtilityGeometry:
     @given(interior, st.booleans(),
            st.fractions(min_value=F(1, 8), max_value=8, max_denominator=16),
            st.fractions(min_value=-4, max_value=4, max_denominator=16))
-    def test_indifference_belief_is_affine_invariant(self, t, conform, scale, shift):
+    def test_threshold_is_affine_invariant(self, t, conform, scale, shift):
+        prior = BinaryPrior(F(1, 25))  # t has a denominator of at most 24
         u = conformist_table(t) if conform else contrarian_table(t)
         moved = table_utility(*(scale * x + shift for x in
                                 (u.u00, u.u10, u.u01, u.u11)))
-        assert indifference_belief(moved) == indifference_belief(u) == t
+        assert classify(moved, prior).threshold == classify(u, prior).threshold == t
 
     @given(interior, interior, st.booleans())
     def test_classification_is_affine_invariant(self, t, p, conform):
@@ -135,7 +135,7 @@ class TestUtilityGeometry:
         u = conformist_table(t) if conform else contrarian_table(t)
         moved = table_utility(*(3 * x + F(1, 7) for x in
                                 (u.u00, u.u10, u.u01, u.u11)))
-        assert classify_binary(moved, BinaryPrior(p)) == classify_binary(u, BinaryPrior(p))
+        assert classify(moved, BinaryPrior(p)) == classify(u, BinaryPrior(p))
 
     @given(interior, st.booleans(), st.booleans(), st.booleans())
     def test_relabeling_is_an_involution(self, t, conform, fa, fs):

@@ -111,3 +111,64 @@ def test_sweep_threshold_writes_one_row_per_step(capsys, tmp_path):
                        "receiver_value"]
     assert [row[0] for row in rows[1:]] == [str(Fraction(k, 10)) for k in range(1, 10)]
     assert capsys.readouterr().err.endswith("/9 positions solved\n")
+
+
+# every column of a 9-step sweep (thresholds k/10) of a sender and of the
+# receiver in each family; a collision row carries the refusal's message
+SWEEPS = {
+    ("binary_partial", "1"): ([
+        '1/10,partial,,1/4,1,-1/25',
+        '1/5,partial,,1/4,1,-1/25',
+        '3/10,collision,,,,thresholds must be pairwise distinct: agents 0 and 2 share 3/10',
+        '2/5,collision,,,,thresholds must be pairwise distinct: agents 0 and 3 share 2/5',
+        '1/2,no-info,opposed,3/5,3/5,-1/5',
+        '3/5,collision,,,,threshold collides with prior 3/5',
+        '7/10,no-info,opposed,3/5,3/5,-1/5',
+        '4/5,no-info,opposed,3/5,3/5,-1/5',
+        '9/10,no-info,opposed,3/5,3/5,-1/5',
+    ], "6/9 positions solved"),
+    ("binary_partial", "receiver"): ([
+        '1/10,collision,,,,thresholds must be pairwise distinct: agents 0 and 3 share 1/10',
+        '1/5,partial,,1/5,1,1/5',
+        '3/10,collision,,,,thresholds must be pairwise distinct: agents 2 and 3 share 3/10',
+        '2/5,partial,,1/4,1,-1/25',
+        '1/2,partial,,1/4,1,-2/15',
+        '3/5,collision,,,,threshold collides with prior 3/5',
+        '7/10,no-info,opposed,3/5,3/5,-3/5',
+        '4/5,no-info,opposed,3/5,3/5,-3/5',
+        '9/10,no-info,opposed,3/5,3/5,-3/5',
+    ], "6/9 positions solved"),
+    ("uniform_interior", "1"): ([
+        '1/10,supported,c,2/25,29/50,147/625',
+        '1/5,collision,,,,thresholds must be pairwise distinct: agents 0 and 1 share 1/5',
+        '3/10,collision,,,,thresholds must be pairwise distinct: agents 0 and 3 share 3/10',
+        '2/5,supported,c,1/5,7/10,6/25',
+        '1/2,collision,,,,threshold collides with prior 1/2',
+        '3/5,supported,c,1/5,7/10,6/25',
+        '7/10,supported,c,1/5,7/10,6/25',
+        '4/5,supported,c,1/5,7/10,6/25',
+        '9/10,supported,c,1/5,7/10,6/25',
+    ], "6/9 positions solved"),
+    ("uniform_interior", "receiver"): ([
+        '1/10,supported,r,1/10,3/5,2/5',
+        '1/5,collision,,,,thresholds must be pairwise distinct: agents 1 and 3 share 1/5',
+        '3/10,supported,c,4/25,33/50,153/625',
+        '2/5,supported,c,4/25,33/50,221/1250',
+        '1/2,collision,,,,threshold collides with prior 1/2',
+        '3/5,supported,c,4/25,33/50,51/1250',
+        '7/10,supported,r,1/5,7/10,0',
+        '4/5,supported,r,3/10,4/5,0',
+        '9/10,supported,r,2/5,9/10,0',
+    ], "7/9 positions solved"),
+}
+
+
+@pytest.mark.parametrize("config, agent", list(SWEEPS))
+def test_sweep_threshold_pins_every_column(capsys, config, agent):
+    sweep = _load_script("sweep_threshold")
+    path = ROOT / "configs" / f"{config}.json"
+    assert sweep.main([str(path), "--agent", agent, "--steps", "9"]) == 0
+    out, err = capsys.readouterr()
+    rows, solved = SWEEPS[config, agent]
+    assert out.splitlines() == ["threshold,kind,trace,support_lo,support_hi,receiver_value", *rows]
+    assert err == solved + "\n"
